@@ -42,6 +42,21 @@ class InputError(Exception):
     pass
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: a bad value is a usage error (exit 2), not a traceback."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
 def _load_graph(path: str, problem: str | None = None):
     try:
         data = Path(path).read_bytes()
@@ -234,7 +249,7 @@ def cmd_verify(args) -> int:
         "skipped": skipped,
         "failures": failures[:20],
         "failure_count": len(failures),
-        "vacuous": not tasks,
+        "vacuous": checked == 0,
     }
     report = _report("verify", problem, c, None, payload, timings, seed)
     lines = [
@@ -243,6 +258,8 @@ def cmd_verify(args) -> int:
     ]
     if not tasks:
         lines.append("warning: no trials requested; vacuous pass")
+    elif checked == 0:
+        lines.append("warning: no instance was checked; vacuous pass")
     if skipped:
         lines.append(f"warning: {skipped} instances skipped (oracle cap)")
     for f in failures[:10]:
@@ -368,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="run a detector on a graph file")
     p.add_argument("--problem", required=True, choices=PROBLEM_IDS)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_non_negative_int, required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--dump-lp", action="store_true", dest="dump_lp")
@@ -384,11 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="contract-check a detector vs the oracle")
     p.add_argument("--problem", required=True, choices=PROBLEM_IDS)
     p.add_argument("--c", type=float, default=None)
-    p.add_argument("--max-n", type=int, default=8, dest="max_n")
+    p.add_argument("--max-n", type=_non_negative_int, default=8, dest="max_n")
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--densities", type=float, nargs="+", default=list(DENSITIES)
+        "--densities", type=_probability, nargs="+", default=list(DENSITIES)
     )
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cap-opt", type=int, default=12, dest="cap_opt")
@@ -399,9 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a generated instance")
     p.add_argument("--model", required=True,
                    choices=["gnp", "planted-flower", "planted-ess"])
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--p", type=float, default=0.4)
-    p.add_argument("--q", type=int, default=3, help="petals for planted-flower")
+    p.add_argument("--n", type=_non_negative_int, default=8)
+    p.add_argument("--p", type=_probability, default=0.4)
+    p.add_argument("--q", type=_non_negative_int, default=3,
+                   help="petals for planted-flower")
     p.add_argument("--problem", choices=PROBLEM_IDS)
     p.add_argument("--centers", type=int, default=4)
     p.add_argument("--petals", type=int, default=None)

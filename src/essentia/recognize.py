@@ -230,12 +230,14 @@ def is_chordal(g: Graph) -> tuple[bool, list[int]]:
     ok, triple = _verify_peo(g, elim)
     if ok:
         return True, elim
-    assert triple is not None
+    if triple is None:
+        raise AssertionError("PEO verification failed without a witness triple")
     v, p, w = triple
     hole = _hole_through(g, v, p, w)
     if hole is None:
         hole = shortest_hole(g)
-    assert hole is not None, "PEO verification failed on a chordal graph"
+    if hole is None:
+        raise AssertionError("PEO verification failed on a chordal graph")
     return False, hole
 
 

@@ -1,15 +1,27 @@
-"""Exact linear programming over rationals.
+"""Exact linear programming over rationals, on integers.
 
 Dense two-phase tableau simplex with Bland's anti-cycling rule: the
 entering column is the smallest index with negative reduced cost, the
-leaving row breaks ratio ties by smallest basic variable index.  All
-arithmetic is fractions.Fraction, so optima are exact and comparisons
-decidable.  Problem sizes here are tiny (tens of rows), so the dense
-tableau is the simple, right-sized choice.
+leaving row breaks ratio ties by smallest basic variable index.
+
+The tableau is fraction-free (Edmonds; Bareiss).  Each constraint row is
+scaled to integers on entry, and the rational tableau T is stored as the
+integer matrix M = D * T, where D > 0 is the absolute determinant of the
+current basis of the scaled constraint matrix (the product of the row
+scales at the start).  A pivot on p = M[r][c] keeps row r and maps every
+other row i to (p * M[i] - M[i][c] * M[r]) / D, a division that is
+always exact by Cramer's rule; D becomes |p|, with all rows negated when
+p < 0.  The reduced-cost row is kept the same way.  Signs of T entries
+are signs of M entries, and ratios compare by cross-multiplication, so
+every pivot is the one the rational tableau would make.  Fractions are
+built only for the returned optimum, which is exact.  Problem sizes here
+are tiny (tens of rows), so the dense tableau is the simple, right-sized
+choice.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 
@@ -21,52 +33,68 @@ class Infeasible(ValueError):
     pass
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    for r, tr in enumerate(tableau):
-        if r != row and tr[col]:
-            f = tr[col]
-            base = tableau[row]
-            tableau[r] = [a - f * b for a, b in zip(tr, base)]
-    basis[row] = col
+def _integers(values: Sequence) -> tuple[list[int], int]:
+    """(integers, scale) with integers[j] == scale * values[j], scale >= 1
+    the least common denominator."""
+    fr = [v if isinstance(v, int) else Fraction(v) for v in values]
+    scale = lcm(*[f.denominator for f in fr])
+    return [f.numerator * (scale // f.denominator) for f in fr], scale
 
 
-def _optimize(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    cost: Sequence[Fraction],
-    allowed: int,
-) -> None:
-    """Run Bland pivots to optimality; columns >= allowed never enter."""
-    m = len(tableau)
-    width = len(tableau[0]) - 1
+def _pivot(tab: list[list[int]], row: int, col: int, d: int) -> int:
+    """Pivot every row of tab on tab[row][col]; return the new D."""
+    base = tab[row]
+    p = base[col]
+    if p < 0:
+        base = tab[row] = [-a for a in base]
+        p = -p
+    for i, tr in enumerate(tab):
+        if i == row:
+            continue
+        f = tr[col]
+        if f:
+            tab[i] = [(p * a - f * b) // d for a, b in zip(tr, base)]
+        elif p != d:
+            tab[i] = [p * a // d for a in tr]
+    return p
+
+
+def _optimize(tab: list[list[int]], basis: list[int], allowed: int, d: int) -> int:
+    """Run Bland pivots to optimality on the rows of tab, whose last row
+    holds the reduced costs; columns >= allowed never enter.  Returns D."""
+    m = len(basis)
     while True:
-        lam = [cost[basis[i]] for i in range(m)]
-        entering = -1
-        for j in range(min(allowed, width)):
-            red = cost[j] - sum(lam[i] * tableau[i][j] for i in range(m) if tableau[i][j])
-            if red < 0:
-                entering = j
-                break
+        z = tab[m]
+        entering = next((j for j in range(allowed) if z[j] < 0), -1)
         if entering < 0:
-            return
+            return d
         leave = -1
-        best_ratio: Fraction | None = None
         for i in range(m):
-            coef = tableau[i][entering]
+            coef = tab[i][entering]
             if coef > 0:
-                ratio = tableau[i][-1] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs = tab[i][-1] * tab[leave][entering]
+                rhs = tab[leave][-1] * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise Unbounded("no leaving row for entering column")
-        _pivot(tableau, basis, leave, entering)
+        d = _pivot(tab, leave, entering, d)
+        basis[leave] = entering
+
+
+def _reduced_costs(
+    tab: list[list[int]], basis: list[int], cost: Sequence[int], d: int
+) -> list[int]:
+    """D * (cost - cost_B . T) for integer costs, as one more tableau row."""
+    z = [d * cj for cj in cost] + [0]
+    for i, bv in enumerate(basis):
+        cb = cost[bv]
+        if cb:
+            z = [a - cb * b for a, b in zip(z, tab[i])]
+    return z
 
 
 def simplex_min(
@@ -76,11 +104,12 @@ def simplex_min(
 ) -> tuple[Fraction, list[Fraction]]:
     """Minimize costs . x subject to rows[i] . x >= rhs[i] and x >= 0.
 
+    Entries may be ints, Fractions or anything Fraction() accepts.
     Returns (optimal value, optimal x).  Raises Infeasible or Unbounded.
     """
     nx = len(costs)
     m = len(rows)
-    c = [Fraction(v) for v in costs]
+    c, c_scale = _integers(costs)
     if m == 0:
         if any(v < 0 for v in c):
             raise Unbounded("negative cost with no constraints")
@@ -88,52 +117,53 @@ def simplex_min(
 
     # Standard form: row . x - s = b, with the row negated when b < 0 so
     # every right-hand side is non-negative; artificials where the
-    # surplus cannot start basic.
-    n_art = sum(1 for b in rhs if Fraction(b) > 0)
+    # surplus cannot start basic.  Row i is scaled by s_i to integers, so
+    # the starting basis is diag(s_i) and M = D * T needs row i times
+    # D / s_i.
+    scaled = [_integers([*row, b]) for row, b in zip(rows, rhs)]
+    n_art = sum(1 for line, _ in scaled if line[-1] > 0)
     width = nx + m + n_art
-    tableau: list[list[Fraction]] = []
+    d = prod(s for _, s in scaled)
+    tab: list[list[int]] = []
     basis: list[int] = []
     art_col = nx + m
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        b = Fraction(b)
-        line = [Fraction(v) for v in row] + [Fraction(0)] * (m + n_art) + [b]
-        line[nx + i] = Fraction(-1)
+    for i, (line, s) in enumerate(scaled):
+        b = line.pop()
+        line += [0] * (m + n_art) + [b]
+        line[nx + i] = -s
         if b > 0:
-            line[art_col] = Fraction(1)
+            line[art_col] = s
             basis.append(art_col)
             art_col += 1
         else:
-            line = [-v for v in line[:-1]] + [-b]
+            line = [-v for v in line]
             basis.append(nx + i)
-        tableau.append(line)
+        if d != s:
+            line = [(d // s) * v for v in line]
+        tab.append(line)
 
     if n_art:
-        cost1 = [Fraction(0)] * (nx + m) + [Fraction(1)] * n_art
-        _optimize(tableau, basis, cost1, allowed=width)
-        value1 = sum(
-            cost1[basis[i]] * tableau[i][-1] for i in range(len(tableau))
-        )
-        if value1 != 0:
+        tab.append(_reduced_costs(tab, basis, [0] * (nx + m) + [1] * n_art, d))
+        d = _optimize(tab, basis, width, d)
+        tab.pop()
+        if any(tab[i][-1] for i in range(len(basis)) if basis[i] >= nx + m):
             raise Infeasible("phase 1 ended with positive artificial mass")
-        # Drive leftover artificials out of the basis, dropping redundant rows.
-        i = 0
-        while i < len(tableau):
+        # Drive leftover artificials (at level zero) out of the basis.  The
+        # surplus columns give [rows | -I] full row rank, so no tableau row
+        # vanishes on the non-artificial columns and no row is redundant.
+        for i in range(len(basis)):
             if basis[i] >= nx + m:
-                col = next(
-                    (j for j in range(nx + m) if tableau[i][j] != 0), None
-                )
+                col = next((j for j in range(nx + m) if tab[i][j]), None)
                 if col is None:
-                    del tableau[i]
-                    del basis[i]
-                    continue
-                _pivot(tableau, basis, i, col)
-            i += 1
+                    raise AssertionError("tableau row vanished off the artificials")
+                d = _pivot(tab, i, col, d)
+                basis[i] = col
 
-    cost2 = c + [Fraction(0)] * (width - nx)
-    _optimize(tableau, basis, cost2, allowed=nx + m)
+    tab.append(_reduced_costs(tab, basis, c + [0] * (width - nx), d))
+    d = _optimize(tab, basis, nx + m, d)
     x = [Fraction(0)] * nx
     for i, bv in enumerate(basis):
         if bv < nx:
-            x[bv] = tableau[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return value, x
+            x[bv] = Fraction(tab[i][-1], d)
+    num = sum(c[bv] * tab[i][-1] for i, bv in enumerate(basis) if bv < nx)
+    return Fraction(num, d * c_scale), x

@@ -6,7 +6,7 @@ import json
 import jsonschema
 import pytest
 
-from essentia.cli import main
+from essentia.cli import EXIT_USAGE, main
 from essentia.generate import planted_flower
 from essentia.graphs import serialize_graph
 
@@ -137,6 +137,18 @@ def test_verify_zero_trials_vacuous(capsys):
     assert "vacuous" in out
 
 
+def test_verify_all_skipped_vacuous(capsys):
+    # Every instance exceeds the oracle cap, so nothing is checked.
+    code, out, _ = run(capsys, ["verify", "--problem", "vc", "--max-n", "30",
+                                "--cap-opt", "5", "--trials", "1", "--json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["checked"] == 0 and result["vacuous"] is True
+    code, out, _ = run(capsys, ["verify", "--problem", "vc", "--max-n", "30",
+                                "--cap-opt", "5", "--trials", "1"])
+    assert "vacuous" in out
+
+
 def test_verify_negative_control(capsys, monkeypatch):
     # Break the detector and watch verification fail.
     import essentia.cli as cli_mod
@@ -180,6 +192,21 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["detect", "--problem", "nope", "--k", "1", "--input", "x"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--problem", "cvd", "--k", "-1"],
+    ["gen", "--model", "planted-flower", "--problem", "fvs", "--q", "-1"],
+    ["gen", "--model", "gnp", "--n", "-3"],
+    ["gen", "--model", "gnp", "--p", "1.5"],
+])
+def test_negative_parameter_is_usage_error(capsys, c5_file, argv):
+    if argv[0] == "detect":
+        argv = argv + ["--input", c5_file]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "must be" in capsys.readouterr().err
 
 
 def test_bench(capsys, tmp_path, c5_file, friendship_file):

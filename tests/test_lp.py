@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from scipy.optimize import linprog
 
 from conftest import cycle_graph, path_graph, random_graph
 from essentia.detect import detect, detect_cvd
@@ -44,18 +45,23 @@ def all_holes(g: Graph) -> list[frozenset[int]]:
     return holes
 
 
-def explicit_lp_cost(g: Graph, v: int) -> Fraction:
-    holes = all_holes(g)
+def explicit_lp_rows(g: Graph, v: int) -> list[list[int]]:
+    """One 0/1 covering row per hole, over the vertices other than v."""
     variables = [u for u in range(g.n) if u != v]
     col = {u: i for i, u in enumerate(variables)}
     rows = []
-    for hole in holes:
+    for hole in all_holes(g):
         row = [0] * len(variables)
         for u in hole:
             if u != v:
                 row[col[u]] = 1
         rows.append(row)
-    value, _ = simplex_min([1] * len(variables), rows, [1] * len(rows))
+    return rows
+
+
+def explicit_lp_cost(g: Graph, v: int) -> Fraction:
+    rows = explicit_lp_rows(g, v)
+    value, _ = simplex_min([1] * (g.n - 1), rows, [1] * len(rows))
     return value
 
 
@@ -113,6 +119,28 @@ def test_lazy_equals_explicit(seed):
         # holds at least a unit, spread over its pooled constraints.
         for hole in state.pool:
             assert sum(state.assignment[u] for u in hole) >= 1
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_lp_cost_matches_highs(seed):
+    # An independent float solver on the explicit all-holes LP, for the
+    # graphs above; the reference uses neither the exact simplex nor the
+    # separation oracle.
+    rng = random.Random(seed)
+    n = rng.randint(4, 7)
+    g = random_graph(rng, n, rng.choice([0.35, 0.5, 0.65]))
+    for v in range(n):
+        rows = explicit_lp_rows(g, v)
+        ref = linprog(
+            [1] * (n - 1),
+            A_ub=[[-a for a in row] for row in rows] or None,
+            b_ub=[-1] * len(rows) or None,
+            bounds=[(0, 1)] * (n - 1),
+            method="highs",
+        )
+        assert ref.status == 0
+        assert abs(float(solve_v_avoiding_lp(g, v).cost) - ref.fun) < 1e-7
+        assert abs(float(explicit_lp_cost(g, v)) - ref.fun) < 1e-7
 
 
 def hole_flower(q: int) -> Graph:
