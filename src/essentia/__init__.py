@@ -6,7 +6,7 @@ from .detect import DetectionResult, FlowerCertificate, detect, detector_factory
 from .graphs import Digraph, Graph, delete_vertices, parse_graph, serialize_graph
 from .oracle import OracleCaps, brute_essential, brute_flower, brute_opt, oracle_report
 from .problems import PROBLEM_IDS, PROBLEMS
-from .solve import exact_budgeted_solve, meta_solve, nonessentiality
+from .solve import exact_budgeted_solve, meta_solve
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,6 @@ __all__ = [
     "detector_factory",
     "exact_budgeted_solve",
     "meta_solve",
-    "nonessentiality",
     "oracle_report",
     "parse_graph",
     "serialize_graph",

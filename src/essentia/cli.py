@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import signal
 import sys
 import time
@@ -24,8 +25,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import generate, oracle
-from .detect import DetectionResult, FlowerCertificate, DoctCertificate, detect
-from .graphs import Digraph, GraphFormatError, parse_graph, serialize_graph
+from .detect import DetectionResult, DoctCertificate, FlowerCertificate, detect, detector_factory
+from .graphs import GraphFormatError, parse_graph, serialize_graph
 from .lp import LPState, lp_dump_text
 from .problems import PROBLEM_IDS, PROBLEMS
 from .solve import exact_budgeted_solve, meta_solve
@@ -50,6 +51,21 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {value}")
+    return value
+
+
+def _at_least_one(text: str) -> float:
+    # c-approximate solutions are defined for c >= 1 only.
+    value = float(text)
+    if not 1.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 1, got {value}")
+    return value
+
+
 def _probability(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -67,10 +83,10 @@ def _load_graph(path: str, problem: str | None = None):
     except (GraphFormatError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     if problem is not None:
-        want = PROBLEMS[problem].directed
-        if isinstance(g, Digraph) != want:
-            kind = "directed" if want else "undirected"
-            raise InputError(f"{path}: expected {kind} graph for {problem}")
+        try:
+            PROBLEMS[problem].check_graph(g)
+        except TypeError as exc:
+            raise InputError(f"{path}: {exc}") from exc
     digest = hashlib.sha256(data).hexdigest()
     return g, digest
 
@@ -210,8 +226,9 @@ def _verify_one(task) -> dict:
     out = {"skipped": False, "failures": [], "checked": 0}
     try:
         opt, _ = oracle.brute_opt(problem, g, caps)
+        detector = detector_factory(problem, g)
         for k in sorted({max(0, opt - 1), opt, opt + 1}):
-            res = detect(problem, g, k)
+            res = detector(k)
             ok, msg = oracle.verify_detection(problem, g, k, res.vertices, c, caps)
             out["checked"] += 1
             if not ok:
@@ -400,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="contract-check a detector vs the oracle")
     p.add_argument("--problem", required=True, choices=PROBLEM_IDS)
-    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--c", type=_at_least_one, default=None)
     p.add_argument("--max-n", type=_non_negative_int, default=8, dest="max_n")
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
@@ -422,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="petals for planted-flower")
     p.add_argument("--problem", choices=PROBLEM_IDS)
     p.add_argument("--centers", type=int, default=4)
-    p.add_argument("--petals", type=int, default=None)
+    p.add_argument("--petals", type=_non_negative_int, default=None)
     p.add_argument("--background", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--directed", action="store_true")
@@ -432,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="meta vs direct branching on a suite")
     p.add_argument("--problem", required=True, choices=PROBLEM_IDS)
     p.add_argument("--suite", required=True)
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=_positive_seconds, default=60.0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)
     return parser

@@ -7,15 +7,18 @@ coefficient c, given (G, k):
   G2  if opt == k, the returned set contains every vertex that belongs
       to all solutions of size at most c * opt.
 
-Detection reduces to per-vertex thresholds:
+Detection reduces to one per-vertex score checked against a bar that
+depends only on k; v is selected when score(v) > bar(k) and k < n:
 
-  FVS / DFVS / OCT   flower number at v (vertex-disjoint-but-for-v
-                     packing of forbidden cycles) exceeds k;
-  DOCT               a minimum separator between the two parity copies
-                     of v in the label-extended digraph has size 2k+1;
-  VC                 v takes value 1 in an optimal half-integral
-                     covering relaxation;
-  CVD                the avoiding LP pinning x_v = 0 costs more than k.
+  FVS / DFVS / OCT   score: flower number at v (vertex-disjoint-but-for-v
+                     packing of forbidden cycles); bar: k.
+  DOCT               score: size of a minimum separator between the two
+                     parity copies of v in the label-extended digraph;
+                     bar: 2k.
+  VC                 score: 2 * x_v in an optimal half-integral covering
+                     relaxation; bar: 1.
+  CVD                score: cost of the avoiding LP pinning x_v = 0;
+                     bar: k.
 """
 from __future__ import annotations
 
@@ -23,9 +26,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .flows import SeparatorResult, min_vertex_separator
+from .flows import min_vertex_separator
 from .graphs import Digraph, Graph, delete_vertices
-from .lp import solve_v_avoiding_lp
+from .lp import LPState, solve_v_avoiding_lp
 from .matching import min_vertex_cover_bipartite
 from .problems import PROBLEMS
 from .tpaths import max_T_path_packing, max_odd_T_path_packing
@@ -62,11 +65,12 @@ class DetectionResult:
         return PROBLEMS[self.problem].c
 
 
-def _shorten_cycle(g: Graph, cycle: list[int], odd: bool) -> tuple[int, ...]:
-    """Shorten a cycle through cycle[0] along chords, keeping the start
-    vertex and, when odd is set, odd length.  Without the parity
-    constraint the result is chordless; with it a chord may survive when
-    the start-side part of every split is even."""
+def _shorten(cycle: list[int], adjacent: Callable[[int, int], bool], odd: bool = False) -> tuple[int, ...]:
+    """Shorten a cycle through cycle[0] along chords u -> w with
+    adjacent(u, w), keeping the start vertex and, when odd is set, odd
+    length.  Without the parity constraint the result is chordless; with
+    it a chord may survive when the start-side part of every split is
+    even."""
     improved = True
     while improved:
         improved = False
@@ -75,31 +79,12 @@ def _shorten_cycle(g: Graph, cycle: list[int], odd: bool) -> tuple[int, ...]:
             for j in range(i + 2, size):
                 if i == 0 and j == size - 1:
                     continue
-                if g.has_edge(cycle[i], cycle[j]):
+                if adjacent(cycle[i], cycle[j]):
                     cand = cycle[:i + 1] + cycle[j:]
                     if not odd or len(cand) % 2 == 1:
                         cycle = cand
                         improved = True
                         break
-            if improved:
-                break
-    return tuple(cycle)
-
-
-def _shorten_dicycle(d: Digraph, cycle: list[int]) -> tuple[int, ...]:
-    """Shorten a directed cycle through cycle[0] along forward arcs."""
-    improved = True
-    while improved:
-        improved = False
-        size = len(cycle)
-        for i in range(size):
-            for j in range(i + 2, size):
-                if i == 0 and j == size - 1:
-                    continue
-                if d.has_arc(cycle[i], cycle[j]):
-                    cycle = cycle[:i + 1] + cycle[j:]
-                    improved = True
-                    break
             if improved:
                 break
     return tuple(cycle)
@@ -113,7 +98,7 @@ def flower_number_fvs(g: Graph, v: int) -> tuple[int, FlowerCertificate]:
     terminals = {remap[w] for w in g.neighbors(v)}
     packing = max_T_path_packing(g2, terminals)
     petals = tuple(
-        _shorten_cycle(g, [v] + [inv[x] for x in p], odd=False)
+        _shorten([v] + [inv[x] for x in p], g.has_edge)
         for p in packing.paths
     )
     return len(packing), FlowerCertificate(v, petals)
@@ -127,7 +112,7 @@ def flower_number_oct(g: Graph, v: int) -> tuple[int, FlowerCertificate]:
     terminals = {remap[w] for w in g.neighbors(v)}
     count, packing = max_odd_T_path_packing(g2, terminals)
     petals = tuple(
-        _shorten_cycle(g, [v] + [inv[x] for x in p], odd=True)
+        _shorten([v] + [inv[x] for x in p], g.has_edge, odd=True)
         for p in packing.paths
     )
     return count, FlowerCertificate(v, petals)
@@ -149,16 +134,9 @@ def flower_number_dfvs(d: Digraph, v: int) -> tuple[int, FlowerCertificate]:
     split = Digraph(d.n + 1, arcs)
     res = min_vertex_separator(split, out_part, v)
     petals = tuple(
-        _shorten_dicycle(d, [v] + list(p[1:-1])) for p in res.paths
+        _shorten([v] + list(p[1:-1]), d.has_arc) for p in res.paths
     )
     return len(res.paths), FlowerCertificate(v, petals)
-
-
-_FLOWER_FNS: dict[str, Callable] = {
-    "fvs": flower_number_fvs,
-    "oct": flower_number_oct,
-    "dfvs": flower_number_dfvs,
-}
 
 
 def vc_lp_halfintegral(g: Graph) -> list[Fraction]:
@@ -187,110 +165,76 @@ def label_extended(d: Digraph) -> Digraph:
     return Digraph(2 * d.n, arcs)
 
 
-def doct_separator(d: Digraph, v: int, ext: Digraph | None = None) -> SeparatorResult:
-    """Minimum separator between the copies of v in the label-extended
-    digraph; its size bounds packings of odd closed walks through v."""
-    if ext is None:
-        ext = label_extended(d)
-    return min_vertex_separator(ext, 2 * v, 2 * v + 1)
+def _doct_scores(d: Digraph) -> list[tuple[int, DoctCertificate]]:
+    """Minimum separator between the copies of each v in the
+    label-extended digraph; its size bounds packings of odd closed walks
+    through v."""
+    ext = label_extended(d)
+    out = []
+    for v in range(d.n):
+        res = min_vertex_separator(ext, 2 * v, 2 * v + 1)
+        # divmod(x, 2) maps a copy back to its (vertex, parity) label.
+        cert = DoctCertificate(
+            v,
+            frozenset(divmod(x, 2) for x in res.separator),
+            tuple(tuple(divmod(x, 2) for x in p) for p in res.paths),
+        )
+        out.append((res.size, cert))
+    return out
 
 
-def _doct_certificate(v: int, res: SeparatorResult) -> DoctCertificate:
-    def lab(x: int) -> tuple[int, int]:
-        return (x // 2, x % 2)
+def _vc_scores(g: Graph) -> list[tuple[Fraction, Fraction]]:
+    return [(2 * x, x) for x in vc_lp_halfintegral(g)]
 
-    return DoctCertificate(
-        v,
-        frozenset(lab(x) for x in res.separator),
-        tuple(tuple(lab(x) for x in p) for p in res.paths),
-    )
+
+def _cvd_scores(g: Graph) -> list[tuple[Fraction, LPState]]:
+    states = []
+    pool: list[tuple[int, ...]] = []
+    for v in range(g.n):
+        state = solve_v_avoiding_lp(g, v, pool)
+        # Carry discovered holes forward; they are valid cuts for every
+        # pinned vertex and save oracle rounds.
+        pool = list(state.pool)
+        states.append((state.cost, state))
+    return states
+
+
+# problem -> (per-vertex (score, certificate) list, bar(k)).
+_SCORES: dict[str, tuple[Callable, Callable[[int], int]]] = {
+    "fvs": (lambda g: [flower_number_fvs(g, v) for v in range(g.n)], lambda k: k),
+    "oct": (lambda g: [flower_number_oct(g, v) for v in range(g.n)], lambda k: k),
+    "dfvs": (lambda d: [flower_number_dfvs(d, v) for v in range(d.n)], lambda k: k),
+    "doct": (_doct_scores, lambda k: 2 * k),
+    "vc": (_vc_scores, lambda k: 1),
+    "cvd": (_cvd_scores, lambda k: k),
+}
 
 
 def detector_factory(problem: str, g: Graph | Digraph) -> Callable[[int], DetectionResult]:
-    """Precompute the per-vertex thresholds once; the returned closure
-    evaluates the detector for any budget k in O(n)."""
-    prob = PROBLEMS[problem]
-    if isinstance(g, Digraph) != prob.directed:
-        kind = "directed" if prob.directed else "undirected"
-        raise TypeError(f"{problem} expects a {kind} graph")
-    if problem in _FLOWER_FNS:
-        fn = _FLOWER_FNS[problem]
-        flowers = [fn(g, v) for v in range(g.n)]
+    """Score every vertex once; the returned closure evaluates the
+    detector for any budget k in O(n)."""
+    PROBLEMS[problem].check_graph(g)
+    score_fn, bar = _SCORES[problem]
+    scored = score_fn(g)
+    extra = {"assignment": tuple(x for _, x in scored)} if problem == "vc" else None
 
-        def detect_flower(k: int) -> DetectionResult:
-            chosen = {v for v in range(g.n) if flowers[v][0] > k}
-            certs = {v: flowers[v][1] for v in chosen}
-            return DetectionResult(problem, k, frozenset(chosen), certs)
+    def detector(k: int) -> DetectionResult:
+        if k >= g.n:
+            # opt < n <= k on non-empty graphs: G2 asks for nothing, {} meets G1.
+            return DetectionResult(problem, k, frozenset())
+        threshold = bar(k)
+        chosen = [v for v in range(g.n) if scored[v][0] > threshold]
+        certs = {v: scored[v][1] for v in chosen}
+        return DetectionResult(problem, k, frozenset(chosen), certs, extra)
 
-        return detect_flower
-    if problem == "doct":
-        ext = label_extended(g)
-        seps = [doct_separator(g, v, ext) for v in range(g.n)]
-
-        def detect_doct_k(k: int) -> DetectionResult:
-            chosen = {v for v in range(g.n) if seps[v].size >= 2 * k + 1}
-            certs = {v: _doct_certificate(v, seps[v]) for v in chosen}
-            return DetectionResult(problem, k, frozenset(chosen), certs)
-
-        return detect_doct_k
-    if problem == "vc":
-        x = vc_lp_halfintegral(g)
-        fixed = frozenset(v for v in range(g.n) if x[v] == 1)
-
-        def detect_vc_k(k: int) -> DetectionResult:
-            certs = {v: Fraction(1) for v in fixed}
-            return DetectionResult(
-                problem, k, fixed, certs, extra={"assignment": tuple(x)}
-            )
-
-        return detect_vc_k
-    if problem == "cvd":
-        states = []
-        pool: list[tuple[int, ...]] = []
-        for v in range(g.n):
-            state = solve_v_avoiding_lp(g, v, pool)
-            # Carry discovered holes forward; they are valid cuts for
-            # every pinned vertex and save oracle rounds.
-            pool = list(state.pool)
-            states.append(state)
-
-        def detect_cvd_k(k: int) -> DetectionResult:
-            chosen = {v for v in range(g.n) if states[v].cost > k}
-            certs: dict[int, object] = {v: states[v] for v in chosen}
-            return DetectionResult(problem, k, frozenset(chosen), certs)
-
-        return detect_cvd_k
-    raise KeyError(problem)
+    return detector
 
 
 def detect(problem: str, g: Graph | Digraph, k: int) -> DetectionResult:
     """Run the problem's detector on (g, k)."""
     if k < 0:
         raise ValueError("budget must be non-negative")
-    if k >= g.n:
-        # Thresholds cannot exceed the vertex count, so the answer is
-        # empty; skip the kernel work.
-        return DetectionResult(problem, k, frozenset())
     return detector_factory(problem, g)(k)
-
-
-def detect_by_flower(problem: str, g: Graph | Digraph, k: int) -> DetectionResult:
-    """Flower-threshold detection; problem must be fvs, dfvs, or oct."""
-    if problem not in _FLOWER_FNS:
-        raise ValueError(f"{problem!r} has no flower detector")
-    return detect(problem, g, k)
-
-
-def detect_vc(g: Graph, k: int) -> DetectionResult:
-    return detect("vc", g, k)
-
-
-def detect_doct(d: Digraph, k: int) -> DetectionResult:
-    return detect("doct", d, k)
-
-
-def detect_cvd(g: Graph, k: int) -> DetectionResult:
-    return detect("cvd", g, k)
 
 
 def verify_flower_certificate(

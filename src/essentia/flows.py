@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Digraph, Graph
+from .graphs import Digraph
 
 
 class SeparatorUndefined(ValueError):
@@ -117,15 +117,6 @@ def min_vertex_separator(d: Digraph, s: int, t: int) -> SeparatorResult:
     result = SeparatorResult(separator, tuple(paths))
     _verify(d, s, t, result)
     return result
-
-
-def min_vertex_separator_undirected(g: Graph, s: int, t: int) -> SeparatorResult:
-    """Undirected variant: replace each edge with two antiparallel arcs."""
-    arcs = []
-    for u, v in g.edges():
-        arcs.append((u, v))
-        arcs.append((v, u))
-    return min_vertex_separator(Digraph(g.n, arcs), s, t)
 
 
 def _verify(d: Digraph, s: int, t: int, result: SeparatorResult) -> None:

@@ -93,6 +93,8 @@ def planted_ess(
         raise ValueError("need centers >= 1 and background >= 0")
     if petals is None:
         petals = centers + background + 2
+    if petals < 0:
+        raise ValueError("petals must be non-negative")
     pairs = []
     nxt = 0
     for _ in range(centers):

@@ -116,10 +116,6 @@ class Digraph:
         self._out = tuple(tuple(sorted(s)) for s in out)
         self._in = tuple(tuple(sorted(s)) for s in inc)
 
-    @property
-    def out_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return self._out
-
     def successors(self, v: int) -> tuple[int, ...]:
         return self._out[v]
 
@@ -169,12 +165,6 @@ def delete_vertices(g: Graph | Digraph, xs: Iterable[int]):
         if u not in removed and v not in removed
     ]
     return Digraph(len(keep), arcs), remap
-
-
-def induced_subgraph(g: Graph | Digraph, vs: Iterable[int]):
-    """Return (g[vs], remap); complement of delete_vertices."""
-    keep = set(vs)
-    return delete_vertices(g, (v for v in range(g.n) if v not in keep))
 
 
 def parse_graph(text: str) -> Graph | Digraph:

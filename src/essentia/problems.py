@@ -17,6 +17,12 @@ class Problem:
     in_class: Callable[[Graph | Digraph], bool]
     forbidden_structure: Callable[[Graph | Digraph], list[int] | None]
 
+    def check_graph(self, g: Graph | Digraph) -> None:
+        """Raise TypeError unless g has this problem's directedness."""
+        if isinstance(g, Digraph) != self.directed:
+            kind = "directed" if self.directed else "undirected"
+            raise TypeError(f"expected {kind} graph for {self.id}")
+
 
 def _first_edge(g: Graph) -> list[int] | None:
     for u in range(g.n):

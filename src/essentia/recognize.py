@@ -10,7 +10,7 @@ sequence in cycle order, without repeating the start vertex.
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graphs import Digraph, Graph
 
@@ -241,38 +241,42 @@ def is_chordal(g: Graph) -> tuple[bool, list[int]]:
     return False, hole
 
 
+def _odd_closed_walk(s: int, succ: Callable[[int], Sequence[int]]) -> list[int] | None:
+    """A shortest odd closed walk through s, as a vertex sequence with
+    walk[0] == walk[-1] == s; None if there is none.
+
+    BFS on the parity-labelled double cover: a step u -> w (w in
+    succ(u)) connects state (u, a) to (w, 1-a); an odd closed walk
+    through s is a path from (s, 0) to (s, 1).
+    """
+    prev: dict[tuple[int, int], tuple[int, int] | None] = {(s, 0): None}
+    queue = deque([(s, 0)])
+    while queue:
+        u, a = queue.popleft()
+        for w in succ(u):
+            state = (w, 1 - a)
+            if state not in prev:
+                prev[state] = (u, a)
+                if state == (s, 1):
+                    walk = []
+                    cur: tuple[int, int] | None = state
+                    while cur is not None:
+                        walk.append(cur[0])
+                        cur = prev[cur]
+                    walk.reverse()
+                    return walk
+                queue.append(state)
+    return None
+
+
 def shortest_odd_closed_diwalk(d: Digraph) -> list[int] | None:
     """Shortest odd closed directed walk, as a vertex sequence with
-    walk[0] == walk[-1]; None if no odd directed cycle exists.
-
-    BFS on the parity-labelled double cover: arc (u, v) connects state
-    (u, a) to (v, 1-a); an odd closed walk through s is a path from
-    (s, 0) to (s, 1).
-    """
+    walk[0] == walk[-1]; None if no odd directed cycle exists."""
     best: list[int] | None = None
     for s in range(d.n):
-        prev: dict[tuple[int, int], tuple[int, int] | None] = {(s, 0): None}
-        queue = deque([(s, 0)])
-        found = None
-        while queue and found is None:
-            u, a = queue.popleft()
-            for w in d.successors(u):
-                state = (w, 1 - a)
-                if state not in prev:
-                    prev[state] = (u, a)
-                    if state == (s, 1):
-                        found = state
-                        break
-                    queue.append(state)
-        if found is not None:
-            walk = []
-            cur: tuple[int, int] | None = found
-            while cur is not None:
-                walk.append(cur[0])
-                cur = prev[cur]
-            walk.reverse()
-            if best is None or len(walk) < len(best):
-                best = walk
+        walk = _odd_closed_walk(s, d.successors)
+        if walk is not None and (best is None or len(walk) < len(best)):
+            best = walk
     return best
 
 
@@ -311,28 +315,8 @@ def shortest_odd_cycle(g: Graph) -> list[int] | None:
     """A shortest odd cycle, or None if the graph is bipartite."""
     best: list[int] | None = None
     for s in range(g.n):
-        prev: dict[tuple[int, int], tuple[int, int] | None] = {(s, 0): None}
-        queue = deque([(s, 0)])
-        found = None
-        while queue and found is None:
-            u, a = queue.popleft()
-            for w in g.neighbors(u):
-                state = (w, 1 - a)
-                if state not in prev:
-                    prev[state] = (u, a)
-                    if state == (s, 1):
-                        found = state
-                        break
-                    queue.append(state)
-        if found is None:
-            continue
-        walk = []
-        cur: tuple[int, int] | None = found
-        while cur is not None:
-            walk.append(cur[0])
-            cur = prev[cur]
-        walk.reverse()
-        if best is None or len(walk) - 1 <= len(best):
+        walk = _odd_closed_walk(s, g.neighbors)
+        if walk is not None and (best is None or len(walk) - 1 <= len(best)):
             cand = _cycle_from_walk(walk, want_odd=True)
             if best is None or len(cand) < len(best):
                 best = cand

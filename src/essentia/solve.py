@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import oracle
-from .detect import DetectionResult, detector_factory
+from .detect import detector_factory
 from .graphs import Digraph, Graph, delete_vertices
-from .problems import PROBLEMS
+from .problems import PROBLEMS, Problem
 
 
 @dataclass(frozen=True)
@@ -55,6 +54,27 @@ class MetaResult:
         return max(a.budget for a in self.attempts)
 
 
+def _branch(prob: Problem, h: Graph | Digraph, b: int, nodes: list[int]) -> list[int] | None:
+    """Minimum deletion set of h within budget b, or None; counts its
+    branching-tree nodes into nodes[0]."""
+    nodes[0] += 1
+    structure = prob.forbidden_structure(h)
+    if structure is None:
+        return []
+    if b == 0:
+        return None
+    best: list[int] | None = None
+    for w in structure:
+        child, remap = delete_vertices(h, [w])
+        sub = _branch(prob, child, b - 1, nodes)
+        if sub is not None:
+            inv = {new: old for old, new in remap.items()}
+            cand = [w] + [inv[x] for x in sub]
+            if best is None or len(cand) < len(best):
+                best = cand
+    return best
+
+
 def exact_budgeted_solve(
     problem: str, g: Graph | Digraph, budget: int
 ) -> tuple[list[int] | None, int]:
@@ -68,48 +88,24 @@ def exact_budgeted_solve(
     if budget < 0:
         raise ValueError("budget must be non-negative")
     prob = PROBLEMS[problem]
-    if isinstance(g, Digraph) != prob.directed:
-        kind = "directed" if prob.directed else "undirected"
-        raise TypeError(f"{problem} expects a {kind} graph")
+    prob.check_graph(g)
     nodes = [0]
-
-    def go(h: Graph | Digraph, b: int) -> list[int] | None:
-        nodes[0] += 1
-        structure = prob.forbidden_structure(h)
-        if structure is None:
-            return []
-        if b == 0:
-            return None
-        best: list[int] | None = None
-        for w in structure:
-            child, remap = delete_vertices(h, [w])
-            sub = go(child, b - 1)
-            if sub is not None:
-                inv = {new: old for old, new in remap.items()}
-                cand = [w] + [inv[x] for x in sub]
-                if best is None or len(cand) < len(best):
-                    best = cand
-        return best
-
-    return go(g, budget), nodes[0]
+    return _branch(prob, g, budget, nodes), nodes[0]
 
 
 def meta_solve(problem: str, g: Graph | Digraph) -> MetaResult:
     """Optimal deletion set via detection-then-branching."""
     prob = PROBLEMS[problem]
-    detector = detector_factory(problem, g) if g.n else None
+    detector = detector_factory(problem, g)
     schedule = []
     for k in range(g.n + 1):
-        if k >= g.n:
-            result = DetectionResult(problem, k, frozenset())
-        else:
-            result = detector(k)
-        budget = k - len(result.vertices)
+        selected = detector(k).vertices
+        budget = k - len(selected)
         if budget < 0:
             # The detector may select more than k vertices when k is below
             # the optimum; such triples can never spend their budget exactly.
             continue
-        schedule.append(MetaTriple(k, result.vertices, budget))
+        schedule.append(MetaTriple(k, selected, budget))
     schedule.sort(key=lambda t: (t.budget, t.k))
 
     attempts = []
@@ -128,15 +124,3 @@ def meta_solve(problem: str, g: Graph | Digraph) -> MetaResult:
                 Solution(problem, vertices), tuple(schedule), tuple(attempts)
             )
     raise AssertionError("loop failed to terminate by k = optimum")
-
-
-def nonessentiality(
-    problem: str,
-    g: Graph | Digraph,
-    c: float | None = None,
-    caps: oracle.OracleCaps = oracle.OracleCaps(),
-) -> int:
-    """opt - |essential set|, both oracle-exact; benchmarking metadata,
-    never on the solving path."""
-    report = oracle.oracle_report(problem, g, c, caps)
-    return report.ell

@@ -37,25 +37,24 @@ class PathPacking:
 
 
 def _project_and_extract(
-    g: Graph,
     terminals: frozenset[int],
     mate: list[int],
-    to_g_edge,
+    back: dict[int, int],
     expected: int,
     odd_only: bool,
 ) -> list[tuple[int, ...]]:
     """Project matched auxiliary edges to G-edges and read off the path
-    components; to_g_edge maps an auxiliary matched pair to a G-edge or
-    None for copy-pair edges."""
+    components; back maps each auxiliary vertex to its G-vertex, so a
+    matched pair with one image is a copy-pair edge and projects to
+    nothing."""
     adj: dict[int, list[int]] = {}
     seen_pairs = set()
     for x, y in enumerate(mate):
         if y == -1 or y < x:
             continue
-        edge = to_g_edge(x, y)
-        if edge is None:
+        u, v = back[x], back[y]
+        if u == v:
             continue
-        u, v = edge
         key = (min(u, v), max(u, v))
         if key in seen_pairs:
             raise AssertionError("normalization left a doubled projection")
@@ -178,13 +177,7 @@ def max_T_path_packing(g: Graph, terminals: Iterable[int]) -> PathPacking:
         back[copy1[u]] = u
         back[copy2[u]] = u
 
-    def to_g_edge(x: int, y: int):
-        gu, gv = back[x], back[y]
-        if gu == gv:
-            return None  # copy-pair edge
-        return gu, gv
-
-    paths = _project_and_extract(g, T, mate, to_g_edge, count, odd_only=False)
+    paths = _project_and_extract(T, mate, back, count, odd_only=False)
     return PathPacking(tuple(paths), "any")
 
 
@@ -229,13 +222,7 @@ def max_odd_T_path_packing(g: Graph, terminals: Iterable[int]) -> tuple[int, Pat
     for u in nonterm:
         back[copy[u]] = u
 
-    def to_g_edge(x: int, y: int):
-        gu, gv = back[x], back[y]
-        if gu == gv:
-            return None
-        return gu, gv
-
-    paths = _project_and_extract(g, T, mate, to_g_edge, count, odd_only=True)
+    paths = _project_and_extract(T, mate, back, count, odd_only=True)
     return count, PathPacking(tuple(paths), "odd")
 
 

@@ -199,6 +199,11 @@ def test_usage_error_exit_code(capsys):
     ["gen", "--model", "planted-flower", "--problem", "fvs", "--q", "-1"],
     ["gen", "--model", "gnp", "--n", "-3"],
     ["gen", "--model", "gnp", "--p", "1.5"],
+    ["gen", "--model", "planted-ess", "--problem", "fvs", "--petals", "-1"],
+    ["verify", "--problem", "fvs", "--c", "0.5"],
+    ["verify", "--problem", "fvs", "--c", "inf"],
+    ["bench", "--problem", "fvs", "--suite", "x", "--timeout", "-1"],
+    ["bench", "--problem", "fvs", "--suite", "x", "--timeout", "0"],
 ])
 def test_negative_parameter_is_usage_error(capsys, c5_file, argv):
     if argv[0] == "detect":

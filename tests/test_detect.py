@@ -8,6 +8,7 @@ import pytest
 from conftest import complete_graph, cycle_graph, random_digraph, random_graph
 from essentia.detect import (
     detect,
+    detector_factory,
     flower_number_dfvs,
     flower_number_fvs,
     flower_number_oct,
@@ -15,7 +16,6 @@ from essentia.detect import (
     verify_flower_certificate,
 )
 from essentia.graphs import Digraph, Graph, delete_vertices
-from essentia.detect import detect_by_flower, detect_doct, detect_vc
 from essentia.oracle import brute_flower, verify_detection
 
 
@@ -94,7 +94,7 @@ def test_flowers_vs_brute(seed):
 
 def test_detect_fvs_friendship():
     g = friendship(3)
-    res = detect_by_flower("fvs", g, 2)
+    res = detect("fvs", g, 2)
     assert res.vertices == {0}
     ok, msg = verify_detection("fvs", g, 2, res.vertices)
     assert ok, msg
@@ -119,11 +119,32 @@ def test_detect_degenerate_budget():
 
 def test_detect_vc_named():
     # Single edge: the all-halves solution leaves nothing fixed at one.
-    assert detect_vc(Graph(2, [(0, 1)]), 1).vertices == frozenset()
+    assert detect("vc", Graph(2, [(0, 1)]), 1).vertices == frozenset()
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    res = detect_vc(star, 1)
+    res = detect("vc", star, 1)
     assert res.vertices == {0}
     assert detect("vc", Graph(3, []), 0).vertices == frozenset()
+
+
+@pytest.mark.parametrize("problem", ["vc", "fvs", "oct", "dfvs", "doct", "cvd"])
+def test_factory_agrees_with_detect(problem):
+    # The closure owns the k >= n rule, so it must match detect at every
+    # budget, including the star K1,3 whose vc LP fixes its center.
+    rng = random.Random(f"agree:{problem}")
+    directed = problem in ("dfvs", "doct")
+    graphs = [Digraph(0) if directed else Graph(0)]
+    if problem == "vc":
+        graphs.append(Graph(4, [(0, 1), (0, 2), (0, 3)]))
+    for _ in range(12):
+        n = rng.randint(1, 7)
+        if directed:
+            graphs.append(random_digraph(rng, n, rng.choice([0.2, 0.4])))
+        else:
+            graphs.append(random_graph(rng, n, rng.choice([0.3, 0.5])))
+    for g in graphs:
+        factory = detector_factory(problem, g)
+        for k in range(g.n + 2):
+            assert factory(k) == detect(problem, g, k), (g, k)
 
 
 def test_vc_lp_assignment_properties():
@@ -137,9 +158,7 @@ def test_vc_lp_assignment_properties():
 
 def test_detect_doct_named():
     tri = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-    assert detect_doct(tri, 1).vertices == frozenset()
-    with pytest.raises(ValueError):
-        detect_by_flower("vc", tri, 1)
+    assert detect("doct", tri, 1).vertices == frozenset()
     two = Digraph(2, [(0, 1), (1, 0)])
     for k in (0, 1):
         assert detect("doct", two, k).vertices == frozenset()

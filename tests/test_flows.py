@@ -8,11 +8,7 @@ from itertools import combinations
 import pytest
 
 from conftest import random_digraph, random_graph
-from essentia.flows import (
-    SeparatorUndefined,
-    min_vertex_separator,
-    min_vertex_separator_undirected,
-)
+from essentia.flows import SeparatorUndefined, min_vertex_separator
 from essentia.graphs import Digraph
 
 
@@ -87,10 +83,12 @@ def test_undirected_variant(seed):
     n = rng.randint(2, 8)
     g = random_graph(rng, n, 0.35)
     s, t = rng.sample(range(n), 2)
+    # Each undirected edge becomes two antiparallel arcs.
+    arcs = [(u, v) for u, v in g.edges()] + [(v, u) for u, v in g.edges()]
+    d = Digraph(g.n, arcs)
     if g.has_edge(s, t):
         with pytest.raises(SeparatorUndefined):
-            min_vertex_separator_undirected(g, s, t)
+            min_vertex_separator(d, s, t)
         return
-    res = min_vertex_separator_undirected(g, s, t)
-    arcs = [(u, v) for u, v in g.edges()] + [(v, u) for u, v in g.edges()]
-    assert res.size == brute_min_separator(Digraph(g.n, arcs), s, t)
+    res = min_vertex_separator(d, s, t)
+    assert res.size == brute_min_separator(d, s, t)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_graph, random_digraph, random_graph
+from essentia.generate import planted_ess, planted_flower
 from essentia.graphs import (
     Digraph,
     Graph,
@@ -136,3 +137,10 @@ def test_roundtrip(seed):
     assert parse_graph(text) == g
     # serialize(parse(t)) is a fixpoint: canonical text round-trips bit-exact.
     assert serialize_graph(parse_graph(text)) == text
+
+
+def test_planted_generators_reject_negative_petals():
+    with pytest.raises(ValueError):
+        planted_flower("fvs", -1)
+    with pytest.raises(ValueError):
+        planted_ess("fvs", petals=-1)

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import cycle_graph, path_graph, random_graph
-from essentia.detect import detect, detect_cvd
+from essentia.detect import detect
 from essentia.graphs import Graph
 from essentia.lp import (
     lp_dump_text,
@@ -153,8 +153,8 @@ def hole_flower(q: int) -> Graph:
 
 
 def test_detect_cvd_named():
-    assert detect_cvd(cycle_graph(4), 1).vertices == frozenset()
-    assert detect_cvd(path_graph(5), 0).vertices == frozenset()
+    assert detect("cvd", cycle_graph(4), 1).vertices == frozenset()
+    assert detect("cvd", path_graph(5), 0).vertices == frozenset()
     g = hole_flower(3)
     res = detect("cvd", g, 2)
     assert 0 in res.vertices

@@ -1,6 +1,7 @@
 """Branching solvers and the detection-driven loop vs the oracle."""
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -13,10 +14,11 @@ from conftest import (
     random_digraph,
     random_graph,
 )
+from essentia.generate import gnp
 from essentia.graphs import Digraph, Graph, delete_vertices
-from essentia.oracle import brute_opt
+from essentia.oracle import brute_opt, oracle_report
 from essentia.problems import PROBLEMS
-from essentia.solve import exact_budgeted_solve, meta_solve, nonessentiality
+from essentia.solve import exact_budgeted_solve, meta_solve
 
 
 def friendship(q: int) -> Graph:
@@ -124,17 +126,17 @@ def test_meta_budget_bounded_by_nonessentiality():
     for q in (3, 4):
         g = friendship(q)
         res = meta_solve("fvs", g)
-        ell = nonessentiality("fvs", g)
+        ell = oracle_report("fvs", g).ell
         assert res.max_budget_attempted <= ell
     g5 = cycle_graph(5)
     res = meta_solve("oct", g5)
-    assert res.max_budget_attempted <= nonessentiality("oct", g5)
+    assert res.max_budget_attempted <= oracle_report("oct", g5).ell
 
 
 def test_nonessentiality_named():
-    assert nonessentiality("fvs", friendship(3)) == 0
-    assert nonessentiality("oct", cycle_graph(5)) == 1
-    assert nonessentiality("fvs", path_graph(4)) == 0
+    assert oracle_report("fvs", friendship(3)).ell == 0
+    assert oracle_report("oct", cycle_graph(5)).ell == 1
+    assert oracle_report("fvs", path_graph(4)).ell == 0
 
 
 def test_schedule_is_sorted_and_nonnegative():
@@ -142,3 +144,25 @@ def test_schedule_is_sorted_and_nonnegative():
     budgets = [t.budget for t in res.schedule]
     assert budgets == sorted(budgets)
     assert all(b >= 0 for b in budgets)
+
+
+def test_meta_solve_leaves_no_cyclic_garbage():
+    # Objects that only the cyclic collector frees pile up between
+    # collections; the solver should free everything by reference count.
+    graphs = [gnp(12 + s % 2, 0.3, s) for s in range(6)]
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.garbage.clear()
+        for g in graphs:
+            meta_solve("cvd", g)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert not garbage, f"{len(garbage)} cyclic objects, e.g. {garbage[:3]!r}"
