@@ -51,10 +51,16 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+# setitimer rejects intervals beyond the platform's time_t; 1e8 s (over
+# three years) is accepted everywhere and is no practical limit.
+MAX_TIMEOUT_S = 1e8
+
+
 def _positive_seconds(text: str) -> float:
     value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {value}")
+    if not 0.0 < value <= MAX_TIMEOUT_S:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds up to {MAX_TIMEOUT_S:g}, got {value}")
     return value
 
 
@@ -449,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="meta vs direct branching on a suite")
     p.add_argument("--problem", required=True, choices=PROBLEM_IDS)
     p.add_argument("--suite", required=True)
-    p.add_argument("--timeout", type=_positive_seconds, default=60.0)
+    p.add_argument("--timeout", type=_positive_seconds, default=60.0,
+                   help=f"seconds per instance, at most {MAX_TIMEOUT_S:g}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)
     return parser

@@ -2,7 +2,9 @@
 
 Vertices are dense 0-based integers.  Deleting vertices produces a new
 graph together with an old-id -> new-id remap instead of leaving holes,
-which keeps the matching and flow kernels allocation friendly.
+which keeps the matching and flow kernels allocation friendly.  The
+branching solver instead isolates vertices (``isolate``), which keeps
+the ids and shares every untouched adjacency row.
 
 The on-disk format is line based:
 
@@ -165,6 +167,37 @@ def delete_vertices(g: Graph | Digraph, xs: Iterable[int]):
         if u not in removed and v not in removed
     ]
     return Digraph(len(keep), arcs), remap
+
+
+def _drop(rows: tuple, w: int, at: tuple[int, ...]) -> tuple:
+    """rows with w taken out of the rows in at and row w emptied; every
+    other row (a tuple or a frozenset) is shared with the input."""
+    rows = list(rows)
+    for v in at:
+        rows[v] = type(rows[v])(x for x in rows[v] if x != w)
+    rows[w] = type(rows[w])()
+    return tuple(rows)
+
+
+def isolate(g: Graph | Digraph, w: int) -> Graph | Digraph:
+    """g with every edge (or arc) at w removed; vertex ids are kept.
+
+    The branching solver uses this instead of ``delete_vertices``: an
+    isolated vertex lies on no forbidden structure, and keeping the ids
+    needs no remap and no validation of the (already valid) input.
+    """
+    if isinstance(g, Graph):
+        h = Graph.__new__(Graph)
+        h.n = g.n
+        h._adj = _drop(g._adj, w, g._adj[w])
+        h._sets = _drop(g._sets, w, g._adj[w])
+        return h
+    h = Digraph.__new__(Digraph)
+    h.n = g.n
+    h._out = _drop(g._out, w, g._in[w])
+    h._out_sets = _drop(g._out_sets, w, g._in[w])
+    h._in = _drop(g._in, w, g._out[w])
+    return h
 
 
 def parse_graph(text: str) -> Graph | Digraph:

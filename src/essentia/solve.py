@@ -7,14 +7,26 @@ forms triples (residual graph, selected set S_k, leftover budget
 k - |S_k|), discards negative leftovers, sorts by leftover, and hands
 each residual instance to the branching solver.  The first run that
 spends its leftover exactly yields an optimal solution of the original
-graph once the selected set is added back.
+graph once the selected set is added back.  Triples that share a
+selected set share a residual: once a search of it has returned its
+minimum, every later triple of that set is decided from the stored size
+with no search (its budget is larger, so it cannot be spent exactly).
+
+The branching solver is a branch-and-bound that still returns the exact
+minimum within budget.  It isolates the branched vertex (``isolate``)
+instead of rebuilding the graph, so vertex ids never change.  At each
+node a greedy packing of vertex-disjoint forbidden structures, starting
+with the node's own structure, bounds the minimum from below: the node
+fails when the packing exceeds the budget, and returns as soon as a
+child's set meets the bound.  After each solution the budget drops to
+one below its size, so later children search for smaller sets only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .detect import detector_factory
-from .graphs import Digraph, Graph, delete_vertices
+from .graphs import Digraph, Graph, delete_vertices, isolate
 from .problems import PROBLEMS, Problem
 
 
@@ -54,6 +66,24 @@ class MetaResult:
         return max(a.budget for a in self.attempts)
 
 
+def _packing_bound(prob: Problem, h: Graph | Digraph, structure: list[int], cap: int) -> int:
+    """Size of a greedy packing of vertex-disjoint forbidden structures of
+    h that starts with structure; stops counting at cap + 1.
+
+    Every deletion set hits each structure of the packing, so its size is
+    a lower bound on the minimum.  For vc the packing is a greedy matching.
+    """
+    size = 1
+    while size <= cap:
+        for v in structure:
+            h = isolate(h, v)
+        structure = prob.forbidden_structure(h)
+        if structure is None:
+            break
+        size += 1
+    return size
+
+
 def _branch(prob: Problem, h: Graph | Digraph, b: int, nodes: list[int]) -> list[int] | None:
     """Minimum deletion set of h within budget b, or None; counts its
     branching-tree nodes into nodes[0]."""
@@ -61,17 +91,18 @@ def _branch(prob: Problem, h: Graph | Digraph, b: int, nodes: list[int]) -> list
     structure = prob.forbidden_structure(h)
     if structure is None:
         return []
-    if b == 0:
+    bound = _packing_bound(prob, h, structure, b)
+    if bound > b:
         return None
     best: list[int] | None = None
     for w in structure:
-        child, remap = delete_vertices(h, [w])
-        sub = _branch(prob, child, b - 1, nodes)
+        sub = _branch(prob, isolate(h, w), b - 1, nodes)
         if sub is not None:
-            inv = {new: old for old, new in remap.items()}
-            cand = [w] + [inv[x] for x in sub]
-            if best is None or len(cand) < len(best):
-                best = cand
+            best = [w] + sub
+            if len(best) == bound:
+                return best
+            # Search the remaining children for strictly smaller sets only.
+            b = len(best) - 1
     return best
 
 
@@ -81,9 +112,11 @@ def exact_budgeted_solve(
     """Minimum deletion set if one of size <= budget exists, else None;
     also returns the branching-tree node count.
 
-    Branches exhaustively on the vertices of a shortest forbidden
-    structure; every feasible solution must hit it, so the search is
-    complete and by induction returns a true minimum within budget.
+    Branches on the vertices of a shortest forbidden structure; every
+    feasible solution must hit it, so the search is complete.  A subtree
+    is cut only when a packing of disjoint structures shows that it holds
+    no set within its budget, or no set smaller than the best one found,
+    so by induction the result is a true minimum within budget.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -109,11 +142,23 @@ def meta_solve(problem: str, g: Graph | Digraph) -> MetaResult:
     schedule.sort(key=lambda t: (t.budget, t.k))
 
     attempts = []
+    # selected set -> minimum that a search of its residual returned.  A
+    # set's budgets ascend through the schedule, so a stored minimum lies
+    # below every later budget of that set and decides the attempt without
+    # a search.  The built-in detectors, whose selection never grows with
+    # k, never get here; a detector whose selection grows does.
+    minimum: dict[frozenset[int], int] = {}
     for triple in schedule:
+        if triple.selected in minimum:
+            success = minimum[triple.selected] == triple.budget
+            attempts.append(MetaAttempt(triple.k, triple.budget, 0, success))
+            continue
         residual, remap = delete_vertices(g, triple.selected)
         sol, nodes = exact_budgeted_solve(problem, residual, triple.budget)
         success = sol is not None and len(sol) == triple.budget
         attempts.append(MetaAttempt(triple.k, triple.budget, nodes, success))
+        if sol is not None:
+            minimum[triple.selected] = len(sol)
         if success:
             inv = {new: old for old, new in remap.items()}
             vertices = frozenset(triple.selected) | {inv[x] for x in sol}

@@ -204,6 +204,7 @@ def test_usage_error_exit_code(capsys):
     ["verify", "--problem", "fvs", "--c", "inf"],
     ["bench", "--problem", "fvs", "--suite", "x", "--timeout", "-1"],
     ["bench", "--problem", "fvs", "--suite", "x", "--timeout", "0"],
+    ["bench", "--problem", "fvs", "--suite", "x", "--timeout", "1e300"],
 ])
 def test_negative_parameter_is_usage_error(capsys, c5_file, argv):
     if argv[0] == "detect":

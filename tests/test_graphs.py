@@ -15,9 +15,11 @@ from essentia.graphs import (
     GraphError,
     GraphFormatError,
     delete_vertices,
+    isolate,
     parse_graph,
     serialize_graph,
 )
+from essentia.problems import PROBLEMS
 
 
 def test_construction_invariants():
@@ -144,3 +146,36 @@ def test_planted_generators_reject_negative_petals():
         planted_flower("fvs", -1)
     with pytest.raises(ValueError):
         planted_ess("fvs", petals=-1)
+
+
+def _views(g):
+    """Every adjacency query of g, by vertex id."""
+    if isinstance(g, Graph):
+        rows = [(g.neighbors(v),) for v in range(g.n)]
+        pairs = [g.has_edge(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+    else:
+        rows = [(g.successors(v), g.predecessors(v)) for v in range(g.n)]
+        pairs = [g.has_arc(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+    return rows, pairs, g.m
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("directed", [False, True])
+def test_isolate_matches_delete_vertices(seed, directed):
+    rng = random.Random(seed)
+    n, p = rng.randint(1, 9), rng.choice([0.2, 0.4, 0.7])
+    g = random_digraph(rng, n, p) if directed else random_graph(rng, n, p)
+    before = _views(g)
+    problems = [q for q in PROBLEMS.values() if q.directed == directed]
+    for w in range(g.n):
+        h = isolate(g, w)
+        deleted, remap = delete_vertices(g, [w])
+        # Relabel the deleted graph onto the kept ids, w left isolated.
+        inv = {new: old for old, new in remap.items()}
+        pairs = deleted.arcs() if directed else deleted.edges()
+        lifted = type(g)(g.n, [(inv[u], inv[v]) for u, v in pairs])
+        assert _views(h) == _views(lifted)
+        assert h == lifted and h.n == g.n
+        for prob in problems:
+            assert prob.in_class(h) == prob.in_class(deleted), (prob.id, w)
+    assert _views(g) == before

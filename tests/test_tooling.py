@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "essentia"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "essentia"
 
 
 def test_no_assert_statements_in_src():
@@ -42,3 +45,39 @@ def test_only_cli_and_init_import_the_oracle():
         if "essentia.oracle" in _imported_modules(tree):
             found.append(path.name)
     assert set(found) <= allowed, f"modules importing the oracle: {found}"
+
+
+def _load(path: Path, monkeypatch):
+    name = f"_bench_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes.
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_benchmark_names_are_called(monkeypatch):
+    # The traced benchmark wraps module attributes that the library looks
+    # up at call time; a call that bypasses one records no span there.
+    tracing = _load(ROOT / "bench" / "tracing.py", monkeypatch)
+    workloads = _load(ROOT / "bench" / "workloads.py", monkeypatch)
+    E = workloads.import_essentia()
+    graphs = {
+        "vc": E.generate.gnp(8, 0.4, 1),
+        "fvs": E.generate.gnp(8, 0.4, 1),
+        "oct": E.generate.gnp(8, 0.4, 1),
+        "cvd": E.generate.gnp(7, 0.4, 1),
+        "dfvs": E.generate.gnp(8, 0.3, 1, directed=True),
+        "doct": E.generate.gnp(8, 0.3, 1, directed=True),
+    }
+    wanted = {"solve.exact_budgeted_solve", "recognize.forbidden_structure",
+              "graphs.delete_vertices"}
+    for problem, g in graphs.items():
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer, E):
+            result = E.solve.meta_solve(problem, g)
+        names = [span[0] for span in tracer.spans()]
+        assert wanted <= set(names), (problem, sorted(wanted - set(names)))
+        # Every branching node looks up a structure through PROBLEMS.
+        assert names.count("recognize.forbidden_structure") >= result.solver_nodes
