@@ -7,10 +7,7 @@ forms triples (residual graph, selected set S_k, leftover budget
 k - |S_k|), discards negative leftovers, sorts by leftover, and hands
 each residual instance to the branching solver.  The first run that
 spends its leftover exactly yields an optimal solution of the original
-graph once the selected set is added back.  Triples that share a
-selected set share a residual: once a search of it has returned its
-minimum, every later triple of that set is decided from the stored size
-with no search (its budget is larger, so it cannot be spent exactly).
+graph once the selected set is added back.
 
 The branching solver is a branch-and-bound that still returns the exact
 minimum within budget.  It isolates the branched vertex (``isolate``)
@@ -142,23 +139,11 @@ def meta_solve(problem: str, g: Graph | Digraph) -> MetaResult:
     schedule.sort(key=lambda t: (t.budget, t.k))
 
     attempts = []
-    # selected set -> minimum that a search of its residual returned.  A
-    # set's budgets ascend through the schedule, so a stored minimum lies
-    # below every later budget of that set and decides the attempt without
-    # a search.  The built-in detectors, whose selection never grows with
-    # k, never get here; a detector whose selection grows does.
-    minimum: dict[frozenset[int], int] = {}
     for triple in schedule:
-        if triple.selected in minimum:
-            success = minimum[triple.selected] == triple.budget
-            attempts.append(MetaAttempt(triple.k, triple.budget, 0, success))
-            continue
         residual, remap = delete_vertices(g, triple.selected)
         sol, nodes = exact_budgeted_solve(problem, residual, triple.budget)
         success = sol is not None and len(sol) == triple.budget
         attempts.append(MetaAttempt(triple.k, triple.budget, nodes, success))
-        if sol is not None:
-            minimum[triple.selected] = len(sol)
         if success:
             inv = {new: old for old, new in remap.items()}
             vertices = frozenset(triple.selected) | {inv[x] for x in sol}

@@ -4,14 +4,10 @@ oracle: same optimum sizes, same None verdicts, and the same attempt
 sequence in the detection-driven loop."""
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
-import reference_solve
-from essentia import solve
 from essentia.generate import gnp
-from essentia.graphs import Graph, delete_vertices
+from essentia.graphs import delete_vertices
 from essentia.problems import PROBLEMS
 from essentia.solve import exact_budgeted_solve, meta_solve
 from reference_solve import reference_budgeted_solve, reference_meta_solve
@@ -74,20 +70,3 @@ def test_meta_attempts_match_reference(problem, seed):
     assert _outcome(result) == _outcome(reference_meta_solve(problem, g))
     assert _feasible(problem, g, result.solution.vertices)
 
-
-def test_stored_minimum_decides_later_attempt(monkeypatch):
-    # The built-in detectors never select more vertices as k grows, so a
-    # set's first search never returns a minimum below its budget.  A detector
-    # whose selection grows with k makes the loop decide an attempt from
-    # a stored minimum, which must match a full search.
-    g = Graph(6, [(0, 1), (2, 3), (4, 5)])
-    picks = {4: frozenset({0, 2, 4}), 5: frozenset({0, 2, 4})}
-
-    def factory(problem, graph):
-        return lambda k: SimpleNamespace(vertices=picks.get(k, frozenset()))
-
-    monkeypatch.setattr(solve, "detector_factory", factory)
-    monkeypatch.setattr(reference_solve, "detector_factory", factory)
-    result = meta_solve("vc", g)
-    assert [(a.k, a.budget, a.nodes) for a in result.attempts if a.nodes == 0] == [(5, 2, 0)]
-    assert _outcome(result) == _outcome(reference_meta_solve("vc", g))
