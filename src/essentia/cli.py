@@ -51,6 +51,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 # setitimer rejects intervals beyond the platform's time_t; 1e8 s (over
 # three years) is accepted everywhere and is no practical limit.
 MAX_TIMEOUT_S = 1e8
@@ -257,8 +264,11 @@ def cmd_verify(args) -> int:
             instance_seed = hash((seed, density, trial)) & 0x7FFFFFFF
             g = generate.gnp(args.max_n, density, instance_seed, directed)
             tasks.append((problem, c, serialize_graph(g), args.cap_opt, args.cap_ess))
-    if args.workers > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # The pool starts all its workers at the first submit, so never ask
+    # for more than there are tasks.
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_one, tasks))
     else:
         results = [_verify_one(t) for t in tasks]
@@ -425,14 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True, choices=PROBLEM_IDS)
     p.add_argument("--c", type=_at_least_one, default=None)
     p.add_argument("--max-n", type=_non_negative_int, default=8, dest="max_n")
-    p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--trials", type=_non_negative_int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--densities", type=_probability, nargs="+", default=list(DENSITIES)
     )
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cap-opt", type=int, default=12, dest="cap_opt")
-    p.add_argument("--cap-ess", type=int, default=9, dest="cap_ess")
+    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--cap-opt", type=_non_negative_int, default=12, dest="cap_opt")
+    p.add_argument("--cap-ess", type=_non_negative_int, default=9, dest="cap_ess")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

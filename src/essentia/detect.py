@@ -27,11 +27,11 @@ from fractions import Fraction
 from typing import Callable
 
 from .flows import min_vertex_separator
-from .graphs import Digraph, Graph, delete_vertices
+from .graphs import Digraph, Graph, isolate
 from .lp import LPState, solve_v_avoiding_lp
 from .matching import min_vertex_cover_bipartite
 from .problems import PROBLEMS
-from .tpaths import max_T_path_packing, max_odd_T_path_packing
+from .tpaths import PathPacking, max_T_path_packing, max_odd_T_path_packing
 
 
 @dataclass(frozen=True)
@@ -90,32 +90,26 @@ def _shorten(cycle: list[int], adjacent: Callable[[int, int], bool], odd: bool =
     return tuple(cycle)
 
 
+def _flower_number(
+    g: Graph, v: int, packer: Callable[..., PathPacking], odd: bool
+) -> tuple[int, FlowerCertificate]:
+    """Petals through v from a T-path packing in G - v with the neighbors
+    of v as terminals, each closed through v and shortened along chords."""
+    packing = packer(isolate(g, v), g.neighbors(v))
+    petals = tuple(_shorten([v, *p], g.has_edge, odd) for p in packing.paths)
+    return len(packing), FlowerCertificate(v, petals)
+
+
 def flower_number_fvs(g: Graph, v: int) -> tuple[int, FlowerCertificate]:
     """Maximum number of cycles pairwise meeting only at v: T-path packing
     in G - v with the neighbors of v as terminals."""
-    g2, remap = delete_vertices(g, [v])
-    inv = {new: old for old, new in remap.items()}
-    terminals = {remap[w] for w in g.neighbors(v)}
-    packing = max_T_path_packing(g2, terminals)
-    petals = tuple(
-        _shorten([v] + [inv[x] for x in p], g.has_edge)
-        for p in packing.paths
-    )
-    return len(packing), FlowerCertificate(v, petals)
+    return _flower_number(g, v, max_T_path_packing, odd=False)
 
 
 def flower_number_oct(g: Graph, v: int) -> tuple[int, FlowerCertificate]:
     """Maximum number of odd cycles pairwise meeting only at v: odd T-path
     packing in G - v closed through v."""
-    g2, remap = delete_vertices(g, [v])
-    inv = {new: old for old, new in remap.items()}
-    terminals = {remap[w] for w in g.neighbors(v)}
-    count, packing = max_odd_T_path_packing(g2, terminals)
-    petals = tuple(
-        _shorten([v] + [inv[x] for x in p], g.has_edge, odd=True)
-        for p in packing.paths
-    )
-    return count, FlowerCertificate(v, petals)
+    return _flower_number(g, v, max_odd_T_path_packing, odd=True)
 
 
 def flower_number_dfvs(d: Digraph, v: int) -> tuple[int, FlowerCertificate]:

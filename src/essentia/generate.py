@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 
 from .graphs import Digraph, Graph
+from .problems import PROBLEMS
 
 
 def gnp(n: int, p: float, seed: int, directed: bool = False) -> Graph | Digraph:
@@ -42,12 +43,7 @@ def _flower_edges(problem: str, center: int, start: int, petals: int):
         for _ in range(petals):
             pairs.append((center, nxt))
             nxt += 1
-    elif problem in ("fvs", "oct"):
-        for _ in range(petals):
-            a, b = nxt, nxt + 1
-            pairs += [(center, a), (a, b), (b, center)]
-            nxt += 2
-    elif problem in ("dfvs", "doct"):
+    elif problem in ("fvs", "oct", "dfvs", "doct"):
         for _ in range(petals):
             a, b = nxt, nxt + 1
             pairs += [(center, a), (a, b), (b, center)]
@@ -67,8 +63,7 @@ def planted_flower(problem: str, petals: int) -> Graph | Digraph:
     if petals < 0:
         raise ValueError("petals must be non-negative")
     pairs, n = _flower_edges(problem, 0, 1, petals)
-    directed = problem in ("dfvs", "doct")
-    return Digraph(n, pairs) if directed else Graph(n, pairs)
+    return Digraph(n, pairs) if PROBLEMS[problem].directed else Graph(n, pairs)
 
 
 def planted_ess(
@@ -114,5 +109,4 @@ def planted_ess(
     perm = list(range(nxt))
     rng.shuffle(perm)
     pairs = [(perm[u], perm[v]) for u, v in pairs]
-    directed = problem in ("dfvs", "doct")
-    return Digraph(nxt, pairs) if directed else Graph(nxt, pairs)
+    return Digraph(nxt, pairs) if PROBLEMS[problem].directed else Graph(nxt, pairs)

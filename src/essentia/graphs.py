@@ -1,10 +1,9 @@
 """Simple immutable graph and digraph types shared by every algorithm.
 
-Vertices are dense 0-based integers.  Deleting vertices produces a new
-graph together with an old-id -> new-id remap instead of leaving holes,
-which keeps the matching and flow kernels allocation friendly.  The
-branching solver instead isolates vertices (``isolate``), which keeps
-the ids and shares every untouched adjacency row.
+Vertices are dense 0-based integers.  Deleting vertices keeps every
+id: the deleted vertices stay behind isolated, so a set found on the
+residual graph needs no translation back, and every untouched adjacency
+row is shared with the input.
 
 The on-disk format is line based:
 
@@ -146,29 +145,6 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m})"
 
 
-def delete_vertices(g: Graph | Digraph, xs: Iterable[int]):
-    """Return (g - xs, remap) where remap maps surviving old ids to new ids."""
-    removed = set(xs)
-    for x in removed:
-        if not (0 <= x < g.n):
-            raise GraphError(f"vertex id {x} out of range")
-    keep = [v for v in range(g.n) if v not in removed]
-    remap = {old: new for new, old in enumerate(keep)}
-    if isinstance(g, Graph):
-        edges = [
-            (remap[u], remap[v])
-            for u, v in g.edges()
-            if u not in removed and v not in removed
-        ]
-        return Graph(len(keep), edges), remap
-    arcs = [
-        (remap[u], remap[v])
-        for u, v in g.arcs()
-        if u not in removed and v not in removed
-    ]
-    return Digraph(len(keep), arcs), remap
-
-
 def _drop(rows: tuple, w: int, at: tuple[int, ...]) -> tuple:
     """rows with w taken out of the rows in at and row w emptied; every
     other row (a tuple or a frozenset) is shared with the input."""
@@ -182,9 +158,9 @@ def _drop(rows: tuple, w: int, at: tuple[int, ...]) -> tuple:
 def isolate(g: Graph | Digraph, w: int) -> Graph | Digraph:
     """g with every edge (or arc) at w removed; vertex ids are kept.
 
-    The branching solver uses this instead of ``delete_vertices``: an
-    isolated vertex lies on no forbidden structure, and keeping the ids
-    needs no remap and no validation of the (already valid) input.
+    The unchecked one-vertex step of ``delete_vertices``: w is not
+    range-checked and the (already valid) input is not revalidated,
+    because the branching solver takes this step at every node.
     """
     if isinstance(g, Graph):
         h = Graph.__new__(Graph)
@@ -198,6 +174,16 @@ def isolate(g: Graph | Digraph, w: int) -> Graph | Digraph:
     h._out_sets = _drop(g._out_sets, w, g._in[w])
     h._in = _drop(g._in, w, g._out[w])
     return h
+
+
+def delete_vertices(g: Graph | Digraph, xs: Iterable[int]) -> Graph | Digraph:
+    """g with every edge (or arc) at the vertices xs removed; vertex ids
+    are kept, so g - xs has g.n vertices and xs are isolated in it."""
+    for x in set(xs):
+        if not (0 <= x < g.n):
+            raise GraphError(f"vertex id {x} out of range")
+        g = isolate(g, x)
+    return g
 
 
 def parse_graph(text: str) -> Graph | Digraph:

@@ -269,23 +269,10 @@ def _odd_closed_walk(s: int, succ: Callable[[int], Sequence[int]]) -> list[int] 
     return None
 
 
-def shortest_odd_closed_diwalk(d: Digraph) -> list[int] | None:
-    """Shortest odd closed directed walk, as a vertex sequence with
-    walk[0] == walk[-1]; None if no odd directed cycle exists."""
-    best: list[int] | None = None
-    for s in range(d.n):
-        walk = _odd_closed_walk(s, d.successors)
-        if walk is not None and (best is None or len(walk) < len(best)):
-            best = walk
-    return best
-
-
 def is_odd_dicycle_free(d: Digraph) -> tuple[bool, list[int] | None]:
     """Return (True, None) or (False, odd directed cycle witness)."""
-    walk = shortest_odd_closed_diwalk(d)
-    if walk is None:
-        return True, None
-    return False, _cycle_from_walk(walk, want_odd=True)
+    cycle = shortest_odd_dicycle(d)
+    return cycle is None, cycle
 
 
 def shortest_cycle(g: Graph) -> list[int] | None:
@@ -354,7 +341,11 @@ def shortest_dicycle(d: Digraph) -> list[int] | None:
 def shortest_odd_dicycle(d: Digraph) -> list[int] | None:
     """A shortest simple odd directed cycle, extracted from the shortest
     odd closed walk; None if the digraph has no odd directed cycle."""
-    walk = shortest_odd_closed_diwalk(d)
+    walk: list[int] | None = None
+    for s in range(d.n):
+        cand = _odd_closed_walk(s, d.successors)
+        if cand is not None and (walk is None or len(cand) < len(walk)):
+            walk = cand
     if walk is None:
         return None
     return _cycle_from_walk(walk, want_odd=True)

@@ -5,13 +5,14 @@ non-essential part of the budget.
 The loop runs the problem's detector for every budget k from 0 to n,
 forms triples (residual graph, selected set S_k, leftover budget
 k - |S_k|), discards negative leftovers, sorts by leftover, and hands
-each residual instance to the branching solver.  The first run that
+each residual instance to the branching solver.  The residual G - S_k
+keeps the vertex ids of G (``delete_vertices``), so the first run that
 spends its leftover exactly yields an optimal solution of the original
-graph once the selected set is added back.
+graph once S_k is added back, with no translation.
 
 The branching solver is a branch-and-bound that still returns the exact
-minimum within budget.  It isolates the branched vertex (``isolate``)
-instead of rebuilding the graph, so vertex ids never change.  At each
+minimum within budget.  It isolates the branched vertex (``isolate``,
+the unchecked one-vertex step of ``delete_vertices``).  At each
 node a greedy packing of vertex-disjoint forbidden structures, starting
 with the node's own structure, bounds the minimum from below: the node
 fails when the packing exceeds the budget, and returns as soon as a
@@ -140,15 +141,13 @@ def meta_solve(problem: str, g: Graph | Digraph) -> MetaResult:
 
     attempts = []
     for triple in schedule:
-        residual, remap = delete_vertices(g, triple.selected)
+        residual = delete_vertices(g, triple.selected)
         sol, nodes = exact_budgeted_solve(problem, residual, triple.budget)
         success = sol is not None and len(sol) == triple.budget
         attempts.append(MetaAttempt(triple.k, triple.budget, nodes, success))
         if success:
-            inv = {new: old for old, new in remap.items()}
-            vertices = frozenset(triple.selected) | {inv[x] for x in sol}
-            final, _ = delete_vertices(g, vertices)
-            if not prob.in_class(final):
+            vertices = triple.selected | frozenset(sol)
+            if not prob.in_class(delete_vertices(g, vertices)):
                 raise AssertionError("combined solution fails the recognizer")
             return MetaResult(
                 Solution(problem, vertices), tuple(schedule), tuple(attempts)

@@ -202,8 +202,8 @@ def _odd_aux_graph(g: Graph, T: frozenset[int]):
     return adj, copy, nonterm
 
 
-def max_odd_T_path_packing(g: Graph, terminals: Iterable[int]) -> tuple[int, PathPacking]:
-    """Maximum packing of vertex-disjoint odd T-paths, with the packing."""
+def max_odd_T_path_packing(g: Graph, terminals: Iterable[int]) -> PathPacking:
+    """Maximum-cardinality packing of pairwise vertex-disjoint odd T-paths."""
     T = frozenset(terminals)
     adj, copy, nonterm = _odd_aux_graph(g, T)
     mate = max_matching_adj(adj)
@@ -223,7 +223,7 @@ def max_odd_T_path_packing(g: Graph, terminals: Iterable[int]) -> tuple[int, Pat
         back[copy[u]] = u
 
     paths = _project_and_extract(T, mate, back, count, odd_only=True)
-    return count, PathPacking(tuple(paths), "odd")
+    return PathPacking(tuple(paths), "odd")
 
 
 def min_odd_T_path_cover_bipartite(g: Graph, terminals: Iterable[int]) -> set[int]:
@@ -245,7 +245,6 @@ def min_odd_T_path_cover_bipartite(g: Graph, terminals: Iterable[int]) -> set[in
     S = {t for t in T if t in cover}
     S.update(u for u in nonterm if u in cover and copy[u] in cover)
 
-    count, _ = max_odd_T_path_packing(g, T)
-    if len(S) != count:
+    if len(S) != len(max_odd_T_path_packing(g, T)):
         raise AssertionError("cover size differs from packing number")
     return S

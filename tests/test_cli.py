@@ -164,6 +164,37 @@ def test_verify_negative_control(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("workers, trials, pooled", [
+    (64, 1, 2), (3, 2, 3), (2, 0, None), (1, 2, None),
+])
+def test_verify_pool_never_exceeds_tasks(capsys, monkeypatch, workers, trials, pooled):
+    # The pool is replaced by a serial stand-in that records its size, so
+    # no worker process is started.
+    import essentia.cli as cli_mod
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    code, _, _ = run(capsys, ["verify", "--problem", "vc", "--max-n", "5",
+                              "--densities", "0.3", "0.5",
+                              "--trials", str(trials), "--workers", str(workers)])
+    assert code == 0
+    assert sizes == ([] if pooled is None else [pooled])
+
+
 def test_gen_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.gr", tmp_path / "b.gr"
     for path in (a, b):
@@ -202,6 +233,11 @@ def test_usage_error_exit_code(capsys):
     ["gen", "--model", "planted-ess", "--problem", "fvs", "--petals", "-1"],
     ["verify", "--problem", "fvs", "--c", "0.5"],
     ["verify", "--problem", "fvs", "--c", "inf"],
+    ["verify", "--problem", "fvs", "--workers", "0"],
+    ["verify", "--problem", "fvs", "--workers", "-2"],
+    ["verify", "--problem", "fvs", "--trials", "-1"],
+    ["verify", "--problem", "fvs", "--cap-opt", "-1"],
+    ["verify", "--problem", "fvs", "--cap-ess", "-1"],
     ["bench", "--problem", "fvs", "--suite", "x", "--timeout", "-1"],
     ["bench", "--problem", "fvs", "--suite", "x", "--timeout", "0"],
     ["bench", "--problem", "fvs", "--suite", "x", "--timeout", "1e300"],

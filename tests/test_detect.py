@@ -7,6 +7,7 @@ import pytest
 
 from conftest import complete_graph, cycle_graph, random_digraph, random_graph
 from essentia.detect import (
+    _shorten,
     detect,
     detector_factory,
     flower_number_dfvs,
@@ -17,6 +18,8 @@ from essentia.detect import (
 )
 from essentia.graphs import Digraph, Graph, delete_vertices
 from essentia.oracle import brute_flower, verify_detection
+from essentia.tpaths import max_odd_T_path_packing, max_T_path_packing
+from reference_solve import delete_renumbered
 
 
 def friendship(q: int) -> Graph:
@@ -217,9 +220,33 @@ def test_flower_monotone_under_deletion(seed):
     for w in range(g.n):
         if w == v:
             continue
-        h, remap = delete_vertices(g, [w])
-        assert flower_number_fvs(h, remap[v])[0] <= base
-        assert flower_number_oct(h, remap[v])[0] <= base_odd
+        h = delete_vertices(g, [w])
+        assert flower_number_fvs(h, v)[0] <= base
+        assert flower_number_oct(h, v)[0] <= base_odd
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_flower_matches_renumbered_packing(seed):
+    # The flower numbers pack T-paths in g with v isolated; a packing on
+    # the renumbered G - v, mapped back, gives the same count and petals.
+    rng = random.Random(80_000 + seed)
+    g = random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.35, 0.5]))
+    for v in range(g.n):
+        h, remap = delete_renumbered(g, [v])
+        inv = {new: old for old, new in remap.items()}
+        terminals = {remap[w] for w in g.neighbors(v)}
+        for fn, packer, odd in (
+            (flower_number_fvs, max_T_path_packing, False),
+            (flower_number_oct, max_odd_T_path_packing, True),
+        ):
+            packing = packer(h, terminals)
+            petals = tuple(
+                _shorten([v] + [inv[x] for x in p], g.has_edge, odd)
+                for p in packing.paths
+            )
+            count, cert = fn(g, v)
+            assert count == len(packing), (seed, v, odd)
+            assert cert.center == v and cert.petals == petals, (seed, v, odd)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -244,16 +271,14 @@ def test_flower_minmax_when_rest_in_class(seed):
             if directed
             else random_graph(rng, rng.randint(2, 7), 0.4)
         )
-        h, _ = delete_vertices(g, [v])
-        if not PROBLEMS[problem].in_class(h):
+        if not PROBLEMS[problem].in_class(delete_vertices(g, [v])):
             continue
         count, _ = fn(g, v)
         best = None
         others = [u for u in range(g.n) if u != v]
         for k in range(len(others) + 1):
             for sub in combinations(others, k):
-                res, _ = delete_vertices(g, sub)
-                if PROBLEMS[problem].in_class(res):
+                if PROBLEMS[problem].in_class(delete_vertices(g, sub)):
                     best = k
                     break
             if best is not None:

@@ -1,4 +1,4 @@
-"""Graph construction, deletion remaps, and the file format."""
+"""Graph construction, id-preserving deletion, and the file format."""
 from __future__ import annotations
 
 import random
@@ -52,44 +52,44 @@ def test_digraph_allows_antiparallel():
 
 
 def test_delete_from_triangle():
-    g, remap = delete_vertices(cycle_graph(3), [0])
-    assert g == Graph(2, [(0, 1)])
-    assert remap == {1: 0, 2: 1}
+    g = delete_vertices(cycle_graph(3), [0])
+    assert g == Graph(3, [(1, 2)])
+    assert g.neighbors(0) == ()
 
 
 def test_delete_nothing_is_identity():
     g = cycle_graph(5)
-    h, remap = delete_vertices(g, [])
-    assert h == g
-    assert remap == {v: v for v in range(5)}
+    assert delete_vertices(g, []) == g
 
 
 def test_delete_c5_two_vertices_gives_p3():
-    # C5 minus {0, 2}: vertices 1, 3, 4 keep edges 3-4 only... plus none at 1.
-    h, remap = delete_vertices(cycle_graph(5), [0, 2])
-    assert h.n == 3
-    assert sorted(h.edges()) == [(remap[3], remap[4])]
+    # C5 minus {0, 2}: ids 0..4 stay, only the edge 3-4 is left.
+    h = delete_vertices(cycle_graph(5), [0, 2])
+    assert h.n == 5
+    assert sorted(h.edges()) == [(3, 4)]
+    assert h.degree(0) == h.degree(2) == 0
 
 
 def test_delete_out_of_range():
     with pytest.raises(GraphError):
         delete_vertices(cycle_graph(3), [7])
+    with pytest.raises(GraphError):
+        delete_vertices(Digraph(2, [(0, 1)]), [-1])
 
 
-@given(st.integers(0, 10**6))
+@given(st.integers(0, 10**6), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_delete_composition(seed):
+def test_delete_composition(seed, directed):
     rng = random.Random(seed)
     n = rng.randint(1, 9)
-    g = random_graph(rng, n, 0.5)
+    g = random_digraph(rng, n, 0.5) if directed else random_graph(rng, n, 0.5)
     xs = {v for v in range(n) if rng.random() < 0.3}
     ys = {v for v in range(n) if rng.random() < 0.3} - xs
-    g1, r1 = delete_vertices(g, xs)
-    g2, r2 = delete_vertices(g1, [r1[v] for v in ys])
-    g12, r12 = delete_vertices(g, xs | ys)
-    assert g2 == g12
-    for old, new in r12.items():
-        assert r2[r1[old]] == new
+    g1 = delete_vertices(g, xs)
+    assert g1.n == g.n
+    pairs = g1.arcs() if directed else g1.edges()
+    assert not any(u in xs or v in xs for u, v in pairs)
+    assert delete_vertices(g1, ys) == delete_vertices(g, xs | ys)
 
 
 def test_parse_triangle():
@@ -169,13 +169,12 @@ def test_isolate_matches_delete_vertices(seed, directed):
     problems = [q for q in PROBLEMS.values() if q.directed == directed]
     for w in range(g.n):
         h = isolate(g, w)
-        deleted, remap = delete_vertices(g, [w])
-        # Relabel the deleted graph onto the kept ids, w left isolated.
-        inv = {new: old for old, new in remap.items()}
-        pairs = deleted.arcs() if directed else deleted.edges()
-        lifted = type(g)(g.n, [(inv[u], inv[v]) for u, v in pairs])
-        assert _views(h) == _views(lifted)
-        assert h == lifted and h.n == g.n
+        # A fresh, validated build of g with w left isolated.
+        pairs = g.arcs() if directed else g.edges()
+        rebuilt = type(g)(g.n, [(u, v) for u, v in pairs if w not in (u, v)])
+        assert _views(h) == _views(rebuilt)
+        assert h == rebuilt and h.n == g.n
+        assert delete_vertices(g, [w]) == h
         for prob in problems:
-            assert prob.in_class(h) == prob.in_class(deleted), (prob.id, w)
+            assert prob.in_class(h) == prob.in_class(rebuilt), (prob.id, w)
     assert _views(g) == before

@@ -190,15 +190,13 @@ def test_lp_cost_lower_bounds_integral_avoiding(seed):
     best = None
     for k in range(len(others) + 1):
         for sub in combinations(others, k):
-            h, _ = delete_vertices(g, sub)
-            if is_chordal(h)[0]:
+            if is_chordal(delete_vertices(g, sub))[0]:
                 best = k
                 break
         if best is not None:
             break
     assert state.cost <= best
-    h, _ = delete_vertices(g, [v])
-    if is_chordal(h)[0]:
+    if is_chordal(delete_vertices(g, [v]))[0]:
         # Bounded gap when everything off v is already chordal.
         assert best <= 12 * state.cost or best == 0
 
