@@ -126,10 +126,6 @@ def _emit(report: dict, as_json: bool, human_lines) -> None:
             print(line)
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _certificate_payload(cert) -> dict:
     if isinstance(cert, FlowerCertificate):
         return {
@@ -148,11 +144,11 @@ def _certificate_payload(cert) -> dict:
     if isinstance(cert, LPState):
         return {
             "type": "lp",
-            "cost": _frac(cert.cost),
+            "cost": str(cert.cost),
             "pool_size": len(cert.pool),
         }
     if isinstance(cert, Fraction):
-        return {"type": "lp-value", "value": _frac(cert)}
+        return {"type": "lp-value", "value": str(cert)}
     return {"type": "opaque", "repr": repr(cert)}
 
 
@@ -165,7 +161,7 @@ def _detection_payload(res: DetectionResult) -> dict:
         },
     }
     if res.extra and "assignment" in res.extra:
-        payload["assignment"] = [_frac(x) for x in res.extra["assignment"]]
+        payload["assignment"] = [str(x) for x in res.extra["assignment"]]
     return payload
 
 
@@ -454,9 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_non_negative_int, default=3,
                    help="petals for planted-flower")
     p.add_argument("--problem", choices=PROBLEM_IDS)
-    p.add_argument("--centers", type=int, default=4)
+    p.add_argument("--centers", type=_positive_int, default=4)
     p.add_argument("--petals", type=_non_negative_int, default=None)
-    p.add_argument("--background", type=int, default=2)
+    p.add_argument("--background", type=_non_negative_int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--directed", action="store_true")
     p.add_argument("--out", default="-")

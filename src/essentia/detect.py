@@ -60,10 +60,6 @@ class DetectionResult:
     certificates: dict[int, object] = field(default_factory=dict)
     extra: dict | None = None
 
-    @property
-    def c(self) -> int:
-        return PROBLEMS[self.problem].c
-
 
 def _shorten(cycle: list[int], adjacent: Callable[[int, int], bool], odd: bool = False) -> tuple[int, ...]:
     """Shorten a cycle through cycle[0] along chords u -> w with
@@ -229,34 +225,3 @@ def detect(problem: str, g: Graph | Digraph, k: int) -> DetectionResult:
     if k < 0:
         raise ValueError("budget must be non-negative")
     return detector_factory(problem, g)(k)
-
-
-def verify_flower_certificate(
-    problem: str, g: Graph | Digraph, cert: FlowerCertificate
-) -> None:
-    """Structural check: every petal is a forbidden cycle through the
-    center and petals pairwise share exactly the center."""
-    directed = PROBLEMS[problem].directed
-    for petal in cert.petals:
-        if petal[0] != cert.center or len(set(petal)) != len(petal):
-            raise AssertionError(f"bad petal {petal}")
-        size = len(petal)
-        if directed:
-            if size < 2:
-                raise AssertionError(f"petal too short: {petal}")
-            for i in range(size):
-                if not g.has_arc(petal[i], petal[(i + 1) % size]):
-                    raise AssertionError(f"petal {petal} misses an arc")
-        else:
-            if size < 3:
-                raise AssertionError(f"petal too short: {petal}")
-            for i in range(size):
-                if not g.has_edge(petal[i], petal[(i + 1) % size]):
-                    raise AssertionError(f"petal {petal} misses an edge")
-        if problem == "oct" and size % 2 == 0:
-            raise AssertionError(f"even petal in an odd-cycle flower: {petal}")
-    for i in range(len(cert.petals)):
-        for j in range(i + 1, len(cert.petals)):
-            common = set(cert.petals[i]) & set(cert.petals[j])
-            if common != {cert.center}:
-                raise AssertionError("petals overlap outside the center")

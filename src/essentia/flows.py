@@ -4,7 +4,8 @@ Unit vertex capacities are modelled by splitting every vertex w into
 w_in -> w_out with capacity one; arcs get effectively infinite capacity.
 Max-flow / min-cut then gives a separator whose size equals the number
 of internally vertex-disjoint paths returned (Menger equality), verified
-on construction.
+on construction.  The minimum cut is read off the last, failed
+augmenting search: the vertices it reached are the source side.
 """
 from __future__ import annotations
 
@@ -28,7 +29,10 @@ class SeparatorResult:
         return len(self.separator)
 
 
-def _bfs_augment(cap: list[dict[int, int]], s: int, t: int) -> bool:
+def _bfs_augment(cap: list[dict[int, int]], s: int, t: int) -> dict[int, int]:
+    """One BFS in the residual network; augments one unit along the path
+    found and returns the predecessor map.  When t is not in the map no
+    path exists, and its keys are exactly the vertices reachable from s."""
     prev = {s: -1}
     queue = deque([s])
     while queue:
@@ -39,15 +43,14 @@ def _bfs_augment(cap: list[dict[int, int]], s: int, t: int) -> bool:
             if c > 0 and w not in prev:
                 prev[w] = u
                 queue.append(w)
-    if t not in prev:
-        return False
-    x = t
-    while x != s:
-        p = prev[x]
-        cap[p][x] -= 1
-        cap[x][p] = cap[x].get(p, 0) + 1
-        x = p
-    return True
+    if t in prev:
+        x = t
+        while x != s:
+            p = prev[x]
+            cap[p][x] -= 1
+            cap[x][p] = cap[x].get(p, 0) + 1
+            x = p
+    return prev
 
 
 def min_vertex_separator(d: Digraph, s: int, t: int) -> SeparatorResult:
@@ -74,20 +77,12 @@ def min_vertex_separator(d: Digraph, s: int, t: int) -> SeparatorResult:
     source, sink = v_out(s), v_in(t)
 
     flow = 0
-    while _bfs_augment(cap, source, sink):
+    while sink in (reach := _bfs_augment(cap, source, sink)):
         flow += 1
         if flow > n:
             raise AssertionError("flow exceeded vertex count")
 
-    # Min cut: split arcs crossing the residual reachability boundary.
-    reach = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w, c in cap[u].items():
-            if c > 0 and w not in reach:
-                reach.add(w)
-                queue.append(w)
+    # Min cut: split arcs leaving the last search's reachable set.
     separator = frozenset(
         w for w in range(n) if v_in(w) in reach and v_out(w) not in reach
     )

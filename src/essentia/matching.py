@@ -101,12 +101,6 @@ def max_matching_adj(adj: Sequence[Sequence[int]]) -> list[int]:
     return match
 
 
-def max_matching(g: Graph) -> set[tuple[int, int]]:
-    """Maximum-cardinality matching as a set of (u, v) pairs with u < v."""
-    mate = max_matching_adj(g.adjacency)
-    return {(v, mate[v]) for v in range(g.n) if mate[v] > v}
-
-
 def min_vertex_cover_bipartite(g: Graph, coloring: Sequence[int]) -> set[int]:
     """Minimum vertex cover of a bipartite graph from a proper 2-coloring.
 

@@ -6,6 +6,13 @@ On the yes side the certificate is constructive (2-coloring, topological
 order, perfect elimination order); on the no side it is a forbidden
 structure (odd cycle, cycle, directed cycle, hole) given as a vertex
 sequence in cycle order, without repeating the start vertex.
+
+Two search cores serve several callers.  ``_bfs_forest`` is the
+all-roots BFS forest of is_bipartite and is_acyclic_undirected, which
+differ only in the edge that closes a witness.  ``_closed_walk`` is the
+per-root BFS for a shortest (odd) closed walk that shortest_dicycle,
+shortest_odd_dicycle and shortest_odd_cycle extract cycles from.
+shortest_cycle keeps its own per-root BFS, cut off at the incumbent.
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ from typing import Callable, Sequence
 from .graphs import Digraph, Graph
 
 
-def _cycle_from_walk(walk: Sequence[int], want_odd: bool = False) -> list[int]:
+def _cycle_from_walk(walk: Sequence[int], odd: bool) -> list[int]:
     """Extract a simple cycle from a closed walk (walk[0] == walk[-1]).
 
     Scans with a stack, splitting off a simple cycle whenever a vertex
@@ -28,7 +35,7 @@ def _cycle_from_walk(walk: Sequence[int], want_odd: bool = False) -> list[int]:
     for x in walk:
         if x in pos:
             cyc = stack[pos[x]:]
-            if not want_odd:
+            if not odd:
                 return cyc
             if len(cyc) % 2 == 1 and (best is None or len(cyc) < len(best)):
                 best = cyc
@@ -62,52 +69,44 @@ def _meet_paths(u: int, w: int, parent: Sequence[int] | dict, depth: Sequence[in
     return path_u + list(reversed(path_w[:-1]))
 
 
-def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
-    """Return (True, proper 2-coloring) or (False, odd cycle witness)."""
-    color = [-1] * g.n
+def _bfs_forest(
+    g: Graph, clash: Callable[[int, int, list[int], list[int]], bool]
+) -> tuple[list[int], list[int] | None]:
+    """All-roots BFS forest in id order, with depth -1 for unseen
+    vertices.  Returns (depth, None), or (depth, cycle) where cycle closes
+    the first edge (u, w) to a seen w with clash(u, w, parent, depth)."""
     parent = [-1] * g.n
-    depth = [0] * g.n
+    depth = [-1] * g.n
     for root in range(g.n):
-        if color[root] != -1:
+        if depth[root] != -1:
             continue
-        color[root] = 0
+        depth[root] = 0
         queue = deque([root])
         while queue:
             u = queue.popleft()
             for w in g.neighbors(u):
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
+                if depth[w] == -1:
                     parent[w] = u
                     depth[w] = depth[u] + 1
                     queue.append(w)
-                elif color[w] == color[u]:
-                    return False, _meet_paths(u, w, parent, depth)
-    return True, color
+                elif clash(u, w, parent, depth):
+                    return depth, _meet_paths(u, w, parent, depth)
+    return depth, None
+
+
+def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
+    """Return (True, proper 2-coloring) or (False, odd cycle witness)."""
+    depth, cycle = _bfs_forest(
+        g, lambda u, w, parent, depth: depth[u] % 2 == depth[w] % 2)
+    if cycle is not None:
+        return False, cycle
+    return True, [d % 2 for d in depth]
 
 
 def is_acyclic_undirected(g: Graph) -> tuple[bool, list[int] | None]:
     """Return (True, None) or (False, cycle witness)."""
-    parent = [-1] * g.n
-    depth = [0] * g.n
-    seen = [False] * g.n
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = u
-                    depth[w] = depth[u] + 1
-                    queue.append(w)
-                elif parent[u] != w:
-                    cycle = _meet_paths(u, w, parent, depth)
-                    if len(cycle) >= 3:
-                        return False, cycle
-    return True, None
+    _, cycle = _bfs_forest(g, lambda u, w, parent, depth: parent[u] != w)
+    return cycle is None, cycle
 
 
 def is_acyclic_directed(d: Digraph) -> tuple[bool, list[int] | None]:
@@ -241,31 +240,32 @@ def is_chordal(g: Graph) -> tuple[bool, list[int]]:
     return False, hole
 
 
-def _odd_closed_walk(s: int, succ: Callable[[int], Sequence[int]]) -> list[int] | None:
-    """A shortest odd closed walk through s, as a vertex sequence with
-    walk[0] == walk[-1] == s; None if there is none.
+def _closed_walk(s: int, succ: Callable[[int], Sequence[int]], odd: bool) -> list[int] | None:
+    """A shortest closed walk through s, of odd length when odd is set,
+    with walk[0] == walk[-1] == s; None if there is none.
 
-    BFS on the parity-labelled double cover: a step u -> w (w in
-    succ(u)) connects state (u, a) to (w, 1-a); an odd closed walk
-    through s is a path from (s, 0) to (s, 1).
+    BFS over states 2v + parity, where a step u -> w (w in succ(u)) flips
+    the parity only when odd is set: the walk runs from state 2s to state
+    2s + odd.  The goal is tested first, as without parity it is the start.
     """
-    prev: dict[tuple[int, int], tuple[int, int] | None] = {(s, 0): None}
-    queue = deque([(s, 0)])
+    flip = int(odd)
+    goal = 2 * s + flip
+    prev: dict[int, int] = {2 * s: -1}
+    queue = deque([2 * s])
     while queue:
-        u, a = queue.popleft()
-        for w in succ(u):
-            state = (w, 1 - a)
-            if state not in prev:
-                prev[state] = (u, a)
-                if state == (s, 1):
-                    walk = []
-                    cur: tuple[int, int] | None = state
-                    while cur is not None:
-                        walk.append(cur[0])
-                        cur = prev[cur]
-                    walk.reverse()
-                    return walk
-                queue.append(state)
+        x = queue.popleft()
+        for w in succ(x >> 1):
+            y = 2 * w + ((x & 1) ^ flip)
+            if y == goal:
+                walk = [s]
+                while x != -1:
+                    walk.append(x >> 1)
+                    x = prev[x]
+                walk.reverse()
+                return walk
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
     return None
 
 
@@ -302,50 +302,33 @@ def shortest_odd_cycle(g: Graph) -> list[int] | None:
     """A shortest odd cycle, or None if the graph is bipartite."""
     best: list[int] | None = None
     for s in range(g.n):
-        walk = _odd_closed_walk(s, g.neighbors)
+        walk = _closed_walk(s, g.neighbors, odd=True)
         if walk is not None and (best is None or len(walk) - 1 <= len(best)):
-            cand = _cycle_from_walk(walk, want_odd=True)
+            cand = _cycle_from_walk(walk, odd=True)
             if best is None or len(cand) < len(best):
                 best = cand
     return best
 
 
+def _shortest_dicycle(d: Digraph, odd: bool) -> list[int] | None:
+    """A simple cycle from the shortest closed walk over all roots (the
+    first root wins ties); None if there is none."""
+    walk: list[int] | None = None
+    for s in range(d.n):
+        cand = _closed_walk(s, d.successors, odd)
+        if cand is not None and (walk is None or len(cand) < len(walk)):
+            walk = cand
+    if walk is None:
+        return None
+    return _cycle_from_walk(walk, odd)
+
+
 def shortest_dicycle(d: Digraph) -> list[int] | None:
     """A shortest directed cycle, or None if the digraph is acyclic."""
-    best: list[int] | None = None
-    for s in range(d.n):
-        prev = {s: -1}
-        queue = deque([s])
-        hit = None
-        while queue and hit is None:
-            u = queue.popleft()
-            for w in d.successors(u):
-                if w == s:
-                    hit = u
-                    break
-                if w not in prev:
-                    prev[w] = u
-                    queue.append(w)
-        if hit is not None:
-            path = []
-            x = hit
-            while x != -1:
-                path.append(x)
-                x = prev[x]
-            path.reverse()
-            if best is None or len(path) < len(best):
-                best = path
-    return best
+    return _shortest_dicycle(d, odd=False)
 
 
 def shortest_odd_dicycle(d: Digraph) -> list[int] | None:
     """A shortest simple odd directed cycle, extracted from the shortest
     odd closed walk; None if the digraph has no odd directed cycle."""
-    walk: list[int] | None = None
-    for s in range(d.n):
-        cand = _odd_closed_walk(s, d.successors)
-        if cand is not None and (walk is None or len(cand) < len(walk)):
-            walk = cand
-    if walk is None:
-        return None
-    return _cycle_from_walk(walk, want_odd=True)
+    return _shortest_dicycle(d, odd=True)

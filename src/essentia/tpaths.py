@@ -1,6 +1,5 @@
 """Packings of T-paths (paths with at least one edge and both endpoints
-in a terminal set T) via reductions to maximum matching, and the dual
-covers on bipartite graphs.
+in a terminal set T) via reductions to maximum matching.
 
 Any-parity packing: build an auxiliary graph with two adjacent copies of
 every non-terminal, terminals connected to both copies of their
@@ -12,10 +11,13 @@ Odd packing: the auxiliary graph is the original graph plus a copy of
 G - T, with each non-terminal joined to its copy.  Odd T-paths
 correspond to matchings that alternate between original and copy edges.
 
-Both reductions extract an explicit packing after normalizing the
-matching: doubly-used edges are re-paired onto the copy edges, and any
-non-terminal with a single matched copy is re-matched to its copy (size
-is preserved, so the matching stays maximum throughout).
+Each packer only builds its auxiliary graph, with the copy pairs and
+the map back to G; both then end in one shared tail, ``_pack``.  It
+matches the auxiliary graph, counts the T-paths as the matching's
+excess over the copy pairs, and extracts an explicit packing after
+normalizing the matching: doubly-used edges are re-paired onto the copy
+edges, and any non-terminal with a single matched copy is re-matched to
+its copy (size is preserved, so the matching stays maximum throughout).
 """
 from __future__ import annotations
 
@@ -23,14 +25,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import Graph
-from .matching import max_matching_adj, min_vertex_cover_bipartite
-from .recognize import is_bipartite
+from .matching import max_matching_adj
 
 
 @dataclass(frozen=True)
 class PathPacking:
     paths: tuple[tuple[int, ...], ...]
-    kind: str  # "any" | "odd"
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -39,9 +39,9 @@ class PathPacking:
 def _project_and_extract(
     terminals: frozenset[int],
     mate: list[int],
-    back: dict[int, int],
+    back: list[int],
     expected: int,
-    odd_only: bool,
+    odd: bool,
 ) -> list[tuple[int, ...]]:
     """Project matched auxiliary edges to G-edges and read off the path
     components; back maps each auxiliary vertex to its G-vertex, so a
@@ -87,23 +87,25 @@ def _project_and_extract(
         raise AssertionError(
             f"extracted {len(paths)} paths, matching promised {expected}"
         )
-    if odd_only and any(len(p) % 2 != 0 for p in paths):
+    if odd and any(len(p) % 2 != 0 for p in paths):
         raise AssertionError("extracted path of even edge length in odd packing")
     return paths
 
 
-def _normalize(mate: list[int], pair_of: dict[int, int]) -> None:
+def _normalize(mate: list[int], pairs: list[tuple[int, int]]) -> None:
     """Re-pair doubled projections and singly-matched copy pairs in place.
 
-    pair_of maps each copy vertex to its partner copy.  Every rewrite
-    preserves the matching size, so the matching stays maximum.
+    pairs lists each non-terminal's two copies.  Every rewrite preserves
+    the matching size, so the matching stays maximum.
     """
+    pair_of = {}
+    for a, b in pairs:
+        pair_of[a] = b
+        pair_of[b] = a
     changed = True
     while changed:
         changed = False
-        for a, b in pair_of.items():
-            if a > b:
-                continue
+        for a, b in pairs:
             ma, mb = mate[a], mate[b]
             if ma == b:
                 continue
@@ -122,20 +124,31 @@ def _normalize(mate: list[int], pair_of: dict[int, int]) -> None:
                 changed = True
 
 
+def _pack(T: frozenset[int], adj: list[list[int]], pairs: list[tuple[int, int]],
+          back: list[int], odd: bool) -> PathPacking:
+    """The tail both packers share: a maximum matching of the auxiliary
+    graph adj exceeds its copy pairs by the packing number; normalize it
+    and read the paths off through back."""
+    mate = max_matching_adj(adj)
+    nu = sum(1 for v, m in enumerate(mate) if m > v)
+    count = nu - len(pairs)
+    if count < 0:
+        raise AssertionError("matching smaller than the copy-pair baseline")
+    _normalize(mate, pairs)
+    return PathPacking(tuple(_project_and_extract(T, mate, back, count, odd)))
+
+
 def max_T_path_packing(g: Graph, terminals: Iterable[int]) -> PathPacking:
     """Maximum-cardinality packing of pairwise vertex-disjoint T-paths."""
     T = frozenset(terminals)
     nonterm = [v for v in range(g.n) if v not in T]
-    idx: dict[int, int] = {}
-    for t in sorted(T):
-        idx[t] = len(idx)
-    copy1: dict[int, int] = {}
-    copy2: dict[int, int] = {}
-    for u in nonterm:
-        copy1[u] = len(idx) + 2 * len(copy2)
-        copy2[u] = copy1[u] + 1
-    size = len(T) + 2 * len(nonterm)
-    adj: list[list[int]] = [[] for _ in range(size)]
+    # Terminals come first in sorted order, then the two copies of each
+    # non-terminal side by side; back lists every auxiliary vertex's image.
+    back = sorted(T) + [u for u in nonterm for _ in range(2)]
+    idx = {t: i for i, t in enumerate(back[:len(T)])}
+    copy1 = {u: len(T) + 2 * j for j, u in enumerate(nonterm)}
+    copy2 = {u: x + 1 for u, x in copy1.items()}
+    adj: list[list[int]] = [[] for _ in back]
 
     def link(x: int, y: int) -> None:
         adj[x].append(y)
@@ -155,39 +168,20 @@ def max_T_path_packing(g: Graph, terminals: Iterable[int]) -> PathPacking:
             link(copy1[u], copy2[v])
             link(copy2[u], copy1[v])
             link(copy2[u], copy2[v])
-    for u in nonterm:
-        link(copy1[u], copy2[u])
-
-    mate = max_matching_adj(adj)
-    nu = sum(1 for v, m in enumerate(mate) if m > v)
-    count = nu - len(nonterm)
-    if count < 0:
-        raise AssertionError("matching smaller than the copy-pair baseline")
-
-    pair_of = {}
-    for u in nonterm:
-        pair_of[copy1[u]] = copy2[u]
-        pair_of[copy2[u]] = copy1[u]
-    _normalize(mate, pair_of)
-
-    back: dict[int, int] = {}
-    for t in T:
-        back[idx[t]] = t
-    for u in nonterm:
-        back[copy1[u]] = u
-        back[copy2[u]] = u
-
-    paths = _project_and_extract(T, mate, back, count, odd_only=False)
-    return PathPacking(tuple(paths), "any")
+    pairs = [(copy1[u], copy2[u]) for u in nonterm]
+    for a, b in pairs:
+        link(a, b)
+    return _pack(T, adj, pairs, back, odd=False)
 
 
 def _odd_aux_graph(g: Graph, T: frozenset[int]):
-    """Auxiliary graph for odd T-path packing: G plus a copy of G - T,
-    with non-terminals joined to their copies."""
+    """Auxiliary graph for odd T-path packing: G plus a copy g.n + i of
+    the i-th non-terminal, joined to it; returns (adj, pairs, back)."""
     nonterm = [v for v in range(g.n) if v not in T]
-    copy = {u: g.n + i for i, u in enumerate(nonterm)}
-    size = g.n + len(nonterm)
-    adj: list[list[int]] = [[] for _ in range(size)]
+    back = list(range(g.n)) + nonterm
+    pairs = [(u, g.n + i) for i, u in enumerate(nonterm)]
+    copy = dict(pairs)
+    adj: list[list[int]] = [[] for _ in back]
 
     def link(x: int, y: int) -> None:
         adj[x].append(y)
@@ -197,54 +191,12 @@ def _odd_aux_graph(g: Graph, T: frozenset[int]):
         link(u, v)
         if u not in T and v not in T:
             link(copy[u], copy[v])
-    for u in nonterm:
-        link(u, copy[u])
-    return adj, copy, nonterm
+    for a, b in pairs:
+        link(a, b)
+    return adj, pairs, back
 
 
 def max_odd_T_path_packing(g: Graph, terminals: Iterable[int]) -> PathPacking:
     """Maximum-cardinality packing of pairwise vertex-disjoint odd T-paths."""
     T = frozenset(terminals)
-    adj, copy, nonterm = _odd_aux_graph(g, T)
-    mate = max_matching_adj(adj)
-    nu = sum(1 for v, m in enumerate(mate) if m > v)
-    count = nu - len(nonterm)
-    if count < 0:
-        raise AssertionError("matching smaller than the copy-pair baseline")
-
-    pair_of = {}
-    for u in nonterm:
-        pair_of[u] = copy[u]
-        pair_of[copy[u]] = u
-    _normalize(mate, pair_of)
-
-    back = {v: v for v in range(g.n)}
-    for u in nonterm:
-        back[copy[u]] = u
-
-    paths = _project_and_extract(T, mate, back, count, odd_only=True)
-    return PathPacking(tuple(paths), "odd")
-
-
-def min_odd_T_path_cover_bipartite(g: Graph, terminals: Iterable[int]) -> set[int]:
-    """On a bipartite graph: minimum vertex set meeting every odd T-path;
-    its size equals the maximum odd T-path packing."""
-    T = frozenset(terminals)
-    ok, coloring = is_bipartite(g)
-    if not ok:
-        raise ValueError("graph is not bipartite")
-    adj, copy, nonterm = _odd_aux_graph(g, T)
-    aux_edges = []
-    for x in range(len(adj)):
-        for y in adj[x]:
-            if x < y:
-                aux_edges.append((x, y))
-    aux = Graph(len(adj), aux_edges)
-    aux_coloring = list(coloring) + [1 - coloring[u] for u in nonterm]
-    cover = min_vertex_cover_bipartite(aux, aux_coloring)
-    S = {t for t in T if t in cover}
-    S.update(u for u in nonterm if u in cover and copy[u] in cover)
-
-    if len(S) != len(max_odd_T_path_packing(g, T)):
-        raise AssertionError("cover size differs from packing number")
-    return S
+    return _pack(T, *_odd_aux_graph(g, T), odd=True)

@@ -1,0 +1,76 @@
+"""Helpers only the tests use: a flower-certificate check, the dual odd
+T-path cover on bipartite graphs, and matchings as edge sets.  The
+package never imports this module."""
+from __future__ import annotations
+
+from typing import Iterable
+
+from essentia.detect import FlowerCertificate
+from essentia.graphs import Digraph, Graph
+from essentia.matching import max_matching_adj, min_vertex_cover_bipartite
+from essentia.problems import PROBLEMS
+from essentia.recognize import is_bipartite
+from essentia.tpaths import _odd_aux_graph, max_odd_T_path_packing
+
+
+def verify_flower_certificate(
+    problem: str, g: Graph | Digraph, cert: FlowerCertificate
+) -> None:
+    """Structural check: every petal is a forbidden cycle through the
+    center and petals pairwise share exactly the center."""
+    directed = PROBLEMS[problem].directed
+    for petal in cert.petals:
+        if petal[0] != cert.center or len(set(petal)) != len(petal):
+            raise AssertionError(f"bad petal {petal}")
+        size = len(petal)
+        if directed:
+            if size < 2:
+                raise AssertionError(f"petal too short: {petal}")
+            for i in range(size):
+                if not g.has_arc(petal[i], petal[(i + 1) % size]):
+                    raise AssertionError(f"petal {petal} misses an arc")
+        else:
+            if size < 3:
+                raise AssertionError(f"petal too short: {petal}")
+            for i in range(size):
+                if not g.has_edge(petal[i], petal[(i + 1) % size]):
+                    raise AssertionError(f"petal {petal} misses an edge")
+        if problem == "oct" and size % 2 == 0:
+            raise AssertionError(f"even petal in an odd-cycle flower: {petal}")
+    for i in range(len(cert.petals)):
+        for j in range(i + 1, len(cert.petals)):
+            common = set(cert.petals[i]) & set(cert.petals[j])
+            if common != {cert.center}:
+                raise AssertionError("petals overlap outside the center")
+
+
+def min_odd_T_path_cover_bipartite(g: Graph, terminals: Iterable[int]) -> set[int]:
+    """On a bipartite graph: minimum vertex set meeting every odd T-path;
+    its size equals the maximum odd T-path packing."""
+    T = frozenset(terminals)
+    ok, coloring = is_bipartite(g)
+    if not ok:
+        raise ValueError("graph is not bipartite")
+    adj, pairs, _ = _odd_aux_graph(g, T)
+    copy = dict(pairs)
+    nonterm = list(copy)
+    aux_edges = []
+    for x in range(len(adj)):
+        for y in adj[x]:
+            if x < y:
+                aux_edges.append((x, y))
+    aux = Graph(len(adj), aux_edges)
+    aux_coloring = list(coloring) + [1 - coloring[u] for u in nonterm]
+    cover = min_vertex_cover_bipartite(aux, aux_coloring)
+    S = {t for t in T if t in cover}
+    S.update(u for u in nonterm if u in cover and copy[u] in cover)
+
+    if len(S) != len(max_odd_T_path_packing(g, T)):
+        raise AssertionError("cover size differs from packing number")
+    return S
+
+
+def max_matching(g: Graph) -> set[tuple[int, int]]:
+    """Maximum-cardinality matching as a set of (u, v) pairs with u < v."""
+    mate = max_matching_adj(g.adjacency)
+    return {(v, mate[v]) for v in range(g.n) if mate[v] > v}

@@ -25,12 +25,11 @@ from essentia.detect import (
     flower_number_dfvs,
     flower_number_fvs,
     flower_number_oct,
-    verify_flower_certificate,
 )
 from essentia.generate import gnp, planted_ess, planted_flower
 from essentia.graphs import Digraph, delete_vertices
 from essentia.lp import separation_oracle_holes, solve_v_avoiding_lp
-from essentia.matching import max_matching, min_vertex_cover_bipartite
+from essentia.matching import min_vertex_cover_bipartite
 from essentia.flows import SeparatorUndefined, min_vertex_separator
 from essentia.oracle import (
     OracleCaps,
@@ -42,6 +41,7 @@ from essentia.oracle import (
 from essentia.problems import PROBLEMS
 from essentia.solve import exact_budgeted_solve, meta_solve
 
+from helpers import max_matching, min_odd_T_path_cover_bipartite, verify_flower_certificate
 from test_flows import brute_min_separator
 from test_lp import explicit_lp_cost
 from test_matching import brute_max_matching, brute_min_vertex_cover
@@ -162,11 +162,7 @@ def test_criterion_3_kernels():
     for _ in range(120):
         g = random_graph(rng, rng.randint(1, 8), rng.choice([0.25, 0.4, 0.6]))
         T = {v for v in range(g.n) if rng.random() < 0.45}
-        from essentia.tpaths import (
-            max_T_path_packing,
-            max_odd_T_path_packing,
-            min_odd_T_path_cover_bipartite,
-        )
+        from essentia.tpaths import max_T_path_packing, max_odd_T_path_packing
         pk = max_T_path_packing(g, T)
         check_packing(g, T, pk)
         if len(pk) != brute_max_packing(g, T):

@@ -231,6 +231,9 @@ def test_usage_error_exit_code(capsys):
     ["gen", "--model", "gnp", "--n", "-3"],
     ["gen", "--model", "gnp", "--p", "1.5"],
     ["gen", "--model", "planted-ess", "--problem", "fvs", "--petals", "-1"],
+    ["gen", "--model", "planted-ess", "--problem", "fvs", "--centers", "0"],
+    ["gen", "--model", "planted-ess", "--problem", "fvs", "--centers", "-2"],
+    ["gen", "--model", "planted-ess", "--problem", "fvs", "--background", "-1"],
     ["verify", "--problem", "fvs", "--c", "0.5"],
     ["verify", "--problem", "fvs", "--c", "inf"],
     ["verify", "--problem", "fvs", "--workers", "0"],

@@ -14,11 +14,11 @@ from essentia.detect import (
     flower_number_fvs,
     flower_number_oct,
     vc_lp_halfintegral,
-    verify_flower_certificate,
 )
 from essentia.graphs import Digraph, Graph, delete_vertices
 from essentia.oracle import brute_flower, verify_detection
 from essentia.tpaths import max_odd_T_path_packing, max_T_path_packing
+from helpers import verify_flower_certificate
 from reference_solve import delete_renumbered
 
 

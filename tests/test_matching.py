@@ -14,7 +14,8 @@ from conftest import (
     random_graph,
 )
 from essentia.graphs import Graph
-from essentia.matching import max_matching, min_vertex_cover_bipartite
+from essentia.matching import min_vertex_cover_bipartite
+from helpers import max_matching
 
 
 def brute_max_matching(g: Graph) -> int:

@@ -204,15 +204,25 @@ def test_odd_dicycle_vs_brute(seed):
     rng = random.Random(500 + seed)
     d = random_digraph(rng, rng.randint(1, 7), rng.choice([0.2, 0.35]))
     ok, payload = is_odd_dicycle_free(d)
-    assert ok == (brute_shortest_odd_dicycle_len(d) is None)
+    odd_girth = brute_shortest_dicycle_len(d, odd=True)
+    assert ok == (odd_girth is None)
     if not ok:
         assert_dicycle(d, payload, odd=True)
+        assert len(payload) == odd_girth
+    cycle = shortest_dicycle(d)
+    girth = brute_shortest_dicycle_len(d, odd=False)
+    assert (cycle is None) == (girth is None)
+    if cycle is not None:
+        assert_dicycle(d, cycle)
+        assert len(cycle) == girth
 
 
-def brute_shortest_odd_dicycle_len(d: Digraph):
+def brute_shortest_dicycle_len(d: Digraph, odd: bool):
+    """Length of a shortest directed cycle, of odd length when odd is
+    set; None if there is none."""
     best = None
     for k in range(2, d.n + 1):
-        if k % 2 == 0:
+        if odd and k % 2 == 0:
             continue
         from itertools import permutations
 

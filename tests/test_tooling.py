@@ -71,13 +71,27 @@ def test_traced_benchmark_names_are_called(monkeypatch):
         "dfvs": E.generate.gnp(8, 0.3, 1, directed=True),
         "doct": E.generate.gnp(8, 0.3, 1, directed=True),
     }
-    wanted = {"solve.exact_budgeted_solve", "recognize.forbidden_structure",
-              "graphs.delete_vertices"}
+    solving = {"solve.exact_budgeted_solve", "recognize.forbidden_structure",
+               "graphs.delete_vertices"}
+    # The detection kernels each problem's detector reaches; a kernel
+    # bound to a local name (say, max_matching_adj inside the T-path
+    # packers) would silently lose its spans.
+    packing = {"tpaths.packing", "matching.max_matching_adj"}
+    separator = {"flows.min_vertex_separator"}
+    detecting = {
+        "vc": {"matching.min_vertex_cover_bipartite"},
+        "fvs": packing,
+        "oct": packing,
+        "dfvs": separator,
+        "doct": separator,
+        "cvd": {"lp.solve_v_avoiding_lp", "lp.separation_oracle", "simplex.simplex_min"},
+    }
     for problem, g in graphs.items():
         tracer = tracing.Tracer()
         with tracing.installed(tracer, E):
             result = E.solve.meta_solve(problem, g)
         names = [span[0] for span in tracer.spans()]
+        wanted = solving | detecting[problem]
         assert wanted <= set(names), (problem, sorted(wanted - set(names)))
         # Every branching node looks up a structure through PROBLEMS.
         assert names.count("recognize.forbidden_structure") >= result.solver_nodes

@@ -8,11 +8,8 @@ import pytest
 from conftest import cycle_graph, path_graph, random_bipartite, random_graph
 from essentia.graphs import Graph
 from essentia.recognize import is_bipartite
-from essentia.tpaths import (
-    max_T_path_packing,
-    max_odd_T_path_packing,
-    min_odd_T_path_cover_bipartite,
-)
+from essentia.tpaths import max_T_path_packing, max_odd_T_path_packing
+from helpers import min_odd_T_path_cover_bipartite
 
 
 def all_t_paths(g: Graph, T: set[int], odd=False) -> list[tuple[int, ...]]:
