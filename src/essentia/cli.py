@@ -23,6 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import generate, oracle
 from .detect import DetectionResult, DoctCertificate, FlowerCertificate, detect, detector_factory
@@ -43,47 +44,31 @@ class InputError(Exception):
     pass
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type: a bad value is a usage error (exit 2), not a traceback."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _bounded(kind: type, ok: Callable[[float], bool], must: str):
+    """argparse type for a number of the given kind for which ok holds: a
+    bad or non-numeric value is a usage error (exit 2), not a traceback."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {must}, got {text!r}")
+    return parse
 
 
 # setitimer rejects intervals beyond the platform's time_t; 1e8 s (over
 # three years) is accepted everywhere and is no practical limit.
 MAX_TIMEOUT_S = 1e8
 
-
-def _positive_seconds(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= MAX_TIMEOUT_S:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive number of seconds up to {MAX_TIMEOUT_S:g}, got {value}")
-    return value
-
-
-def _at_least_one(text: str) -> float:
-    # c-approximate solutions are defined for c >= 1 only.
-    value = float(text)
-    if not 1.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 1, got {value}")
-    return value
-
-
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
-    return value
+_non_negative_int = _bounded(int, lambda v: v >= 0, "non-negative")
+_positive_int = _bounded(int, lambda v: v >= 1, "positive")
+_positive_seconds = _bounded(float, lambda v: 0.0 < v <= MAX_TIMEOUT_S,
+                             f"a positive number of seconds up to {MAX_TIMEOUT_S:g}")
+# c-approximate solutions are defined for c >= 1 only.
+_at_least_one = _bounded(float, lambda v: 1.0 <= v < math.inf, "a finite number >= 1")
+_probability = _bounded(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def _load_graph(path: str, problem: str | None = None):

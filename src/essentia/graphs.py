@@ -188,7 +188,7 @@ def delete_vertices(g: Graph | Digraph, xs: Iterable[int]) -> Graph | Digraph:
 
 def parse_graph(text: str) -> Graph | Digraph:
     """Parse the line-based graph format; raises GraphFormatError."""
-    header: tuple[bool, int, int] | None = None  # (directed, n, m)
+    header: tuple[bool, int, int, int] | None = None  # (directed, n, m, line_no)
     pairs: list[tuple[int, int]] = []
     seen_undirected: set[tuple[int, int]] = set()
     seen_directed: set[tuple[int, int]] = set()
@@ -208,7 +208,7 @@ def parse_graph(text: str) -> Graph | Digraph:
                 raise GraphFormatError(line_no, f"malformed header {line!r}") from None
             if n < 0 or m < 0:
                 raise GraphFormatError(line_no, "negative count in header")
-            header = (fields[1] == "di", n, m)
+            header = (fields[1] == "di", n, m, line_no)
         elif fields[0] == "e":
             if header is None:
                 raise GraphFormatError(line_no, "edge before header")
@@ -218,7 +218,7 @@ def parse_graph(text: str) -> Graph | Digraph:
                 u1, v1 = int(fields[1]), int(fields[2])
             except ValueError:
                 raise GraphFormatError(line_no, f"malformed edge line {line!r}") from None
-            directed, n, _ = header
+            directed, n, _, _ = header
             if not (1 <= u1 <= n and 1 <= v1 <= n):
                 raise GraphFormatError(line_no, f"vertex id out of range: {line!r}")
             if u1 == v1:
@@ -238,10 +238,10 @@ def parse_graph(text: str) -> Graph | Digraph:
             raise GraphFormatError(line_no, f"unknown line type {fields[0]!r}")
     if header is None:
         raise GraphFormatError(1, "missing header")
-    directed, n, m = header
+    directed, n, m, header_line = header
     if len(pairs) != m:
         raise GraphFormatError(
-            1, f"header declares {m} edges but {len(pairs)} were given"
+            header_line, f"header declares {m} edges but {len(pairs)} were given"
         )
     return Digraph(n, pairs) if directed else Graph(n, pairs)
 

@@ -10,9 +10,9 @@ Each round adds a hole not yet in the pool, so the loop terminates.
 
 The simplex works on an integer tableau (see ``simplex``) and hands back
 exact Fractions.  The oracle scales the current assignment to integers
-over its common denominator and runs one Dijkstra per (center, neighbour)
-with the center's later non-adjacent neighbours as sinks, which finds the
-same hole as one search per neighbour pair.
+over its common denominator and takes the first hole lighter than one
+from ``recognize.light_holes``, the hole search that the branching's
+``shortest_hole`` runs under unit weights.
 
 Upper bounds x_u <= 1 never bind at an optimum of a pure covering
 objective, so the simplex tableau only carries the covering rows; the
@@ -20,13 +20,13 @@ returned assignment is checked to stay within the box.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from .graphs import Graph
+from .recognize import light_holes
 from .simplex import simplex_min
 
 ZERO = Fraction(0)
@@ -43,92 +43,22 @@ class LPState:
     pool: tuple[tuple[int, ...], ...]
 
 
-def _paths_to_sinks(
-    adj: Sequence[Sequence[int]],
-    w: Sequence[int],
-    mark: bytearray,
-    p: int,
-    limit: int,
-) -> dict[int, int]:
-    """Dijkstra from p over vertex weights w (both endpoints counted) on
-    vertices with mark 0; vertices with mark 2 are sinks, reached but never
-    expanded, and vertices with mark 1 are never entered.  Ties prefer
-    fewer hops, then smaller ids (the heap order), so every tree path has
-    no chords.  Paths of weight >= limit are dropped, which changes no
-    path lighter than limit.  Returns the predecessor map (p maps to -1)."""
-    dist: dict[int, tuple[int, int]] = {p: (w[p], 0)}
-    prev: dict[int, int] = {p: -1}
-    heap = [(w[p], 0, p)]
-    done: set[int] = set()
-    while heap:
-        d, hops, x = heapq.heappop(heap)
-        if x in done:
-            continue
-        done.add(x)
-        for y in adj[x]:
-            kind = mark[y]
-            if kind == 1 or y in done:
-                continue
-            cand = (d + w[y], hops + 1)
-            if cand[0] >= limit:
-                continue
-            if y not in dist or cand < dist[y]:
-                dist[y] = cand
-                prev[y] = x
-                if kind == 0:
-                    heapq.heappush(heap, (cand[0], cand[1], y))
-    return prev
-
-
 def separation_oracle_holes(
     g: Graph, weights: Sequence[Fraction]
 ) -> tuple[int, ...] | None:
     """Return a hole of total weight < 1, or None when every hole
     constraint is satisfied.  Weights are non-negative rationals.
 
-    For each center u and each non-adjacent pair p, q in N(u), a
-    minimum-weight p..q path in G - (N[u] - {p, q}) plus u is a chordless
-    cycle, and every hole is seen this way from each of its vertices as
-    the center.  The weights are scaled to integers over their common
-    denominator L, so "weight < 1" is "sum < L".  One Dijkstra per
-    (u, p) serves every later non-adjacent neighbour q of u at once, as a
-    sink; since sinks are never expanded, each q gets the path a search
-    for q alone would find.  The first violated (u, p, q) in that order
-    gives the hole.
+    The weights are scaled to integers over their common denominator L,
+    so "weight < 1" is "sum < L", and the first hole that
+    ``recognize.light_holes`` yields below L is returned.
     """
     scale = lcm(*[x.denominator for x in weights])
     w = [x.numerator * (scale // x.denominator) for x in weights]
-    adj = g.adjacency
-    mark = bytearray(g.n)  # 1: in N[u], never entered; 2: a sink
-    for u in range(g.n):
-        nbrs = adj[u]
-        limit = scale - w[u]  # a p..q path lighter than this closes a hole
-        mark[u] = 1
-        for y in nbrs:
-            mark[y] = 1
-        for i, p in enumerate(nbrs):
-            sinks = [q for q in nbrs[i + 1:] if not g.has_edge(p, q)]
-            if not sinks or w[p] >= limit:
-                continue
-            for q in sinks:
-                mark[q] = 2
-            prev = _paths_to_sinks(adj, w, mark, p, limit)
-            for q in sinks:
-                mark[q] = 1
-            for q in sinks:
-                if q in prev:
-                    path = []
-                    x = q
-                    while x != -1:
-                        path.append(x)
-                        x = prev[x]
-                    hole = (u, *reversed(path))
-                    _assert_hole(g, hole)
-                    return hole
-        mark[u] = 0
-        for y in nbrs:
-            mark[y] = 0
-    return None
+    hole = next(light_holes(g, w, scale), None)
+    if hole is not None:
+        _assert_hole(g, hole)
+    return hole
 
 
 def _assert_hole(g: Graph, hole: Sequence[int]) -> None:

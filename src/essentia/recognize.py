@@ -7,17 +7,22 @@ order, perfect elimination order); on the no side it is a forbidden
 structure (odd cycle, cycle, directed cycle, hole) given as a vertex
 sequence in cycle order, without repeating the start vertex.
 
-Two search cores serve several callers.  ``_bfs_forest`` is the
+Three search cores serve several callers.  ``_bfs_forest`` is the
 all-roots BFS forest of is_bipartite and is_acyclic_undirected, which
 differ only in the edge that closes a witness.  ``_closed_walk`` is the
 per-root BFS for a shortest (odd) closed walk that shortest_dicycle,
 shortest_odd_dicycle and shortest_odd_cycle extract cycles from.
-shortest_cycle keeps its own per-root BFS, cut off at the incumbent.
+``light_holes`` is the one hole search, a sink Dijkstra per (center,
+neighbour): shortest_hole (and with it is_chordal's witness) runs it
+under unit weights, and the CVD LP's separation oracle under the scaled
+LP assignment.  shortest_cycle keeps its own per-root BFS, cut off at
+the incumbent.
 """
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graphs import Digraph, Graph
 
@@ -158,83 +163,116 @@ def lexbfs_order(g: Graph) -> list[int]:
     return order
 
 
-def _verify_peo(g: Graph, elim: Sequence[int]) -> tuple[bool, tuple[int, int, int] | None]:
-    """Check a perfect elimination order.  On failure return (v, p, w):
-    p, w are later neighbors of v with p earliest, and p, w non-adjacent."""
+def _is_peo(g: Graph, elim: Sequence[int]) -> bool:
+    """Whether elim is a perfect elimination order: the later neighbours
+    of each vertex are adjacent to the earliest of them."""
     position = {v: i for i, v in enumerate(elim)}
     for v in elim:
         later = [u for u in g.neighbors(v) if position[u] > position[v]]
         if not later:
             continue
         p = min(later, key=position.__getitem__)
-        for w in later:
-            if w != p and not g.has_edge(p, w):
-                return False, (v, p, w)
-    return True, None
+        if any(w != p and not g.has_edge(p, w) for w in later):
+            return False
+    return True
 
 
-def _hole_through(g: Graph, u: int, p: int, q: int) -> list[int] | None:
-    """Hop-shortest p..q path avoiding N[u] - {p, q}; closing it through u
-    gives a chordless cycle of length >= 4.  None if p, q disconnected."""
-    banned = set(g.neighbors(u)) | {u}
-    banned.discard(p)
-    banned.discard(q)
-    prev = {p: -1}
-    queue = deque([p])
-    while queue:
-        x = queue.popleft()
-        if x == q:
-            path = []
-            while x != -1:
-                path.append(x)
-                x = prev[x]
-            path.reverse()
-            return [u] + path
-        for y in g.neighbors(x):
-            if y not in banned and y not in prev:
+def _paths_to_sinks(
+    adj: Sequence[Sequence[int]],
+    w: Sequence[int],
+    mark: bytearray,
+    p: int,
+    limit: int,
+) -> dict[int, int]:
+    """Dijkstra from p over vertex weights w (both endpoints counted) on
+    vertices with mark 0; vertices with mark 2 are sinks, reached but never
+    expanded, and vertices with mark 1 are never entered.  Ties prefer
+    fewer hops, then smaller ids (the heap order), so every tree path has
+    no chords.  Paths of weight >= limit are dropped, which changes no
+    path lighter than limit.  Returns the predecessor map (p maps to -1)."""
+    dist: dict[int, tuple[int, int]] = {p: (w[p], 0)}
+    prev: dict[int, int] = {p: -1}
+    heap = [(w[p], 0, p)]
+    done: set[int] = set()
+    while heap:
+        d, hops, x = heapq.heappop(heap)
+        if x in done:
+            continue
+        done.add(x)
+        for y in adj[x]:
+            kind = mark[y]
+            if kind == 1 or y in done:
+                continue
+            cand = (d + w[y], hops + 1)
+            if cand[0] >= limit:
+                continue
+            if y not in dist or cand < dist[y]:
+                dist[y] = cand
                 prev[y] = x
-                queue.append(y)
-    return None
+                if kind == 0:
+                    heapq.heappush(heap, (cand[0], cand[1], y))
+    return prev
+
+
+def light_holes(g: Graph, w: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
+    """Yield holes of integer vertex weight below total, in (u, p, q) order.
+
+    For each center u and each non-adjacent pair p, q in N(u), a
+    minimum-weight p..q path in G - (N[u] - {p, q}) plus u is a chordless
+    cycle, and every hole is seen this way from each of its vertices as
+    the center.  One Dijkstra per (u, p) serves every later non-adjacent
+    neighbour q of u at once, as a sink; since sinks are never expanded,
+    each q gets the path a search for q alone would find.  Each (u, p, q)
+    whose lightest hole weighs less than total yields that hole.
+    """
+    adj = g.adjacency
+    mark = bytearray(g.n)  # 1: in N[u], never entered; 2: a sink
+    for u in range(g.n):
+        nbrs = adj[u]
+        limit = total - w[u]  # a p..q path lighter than this closes a hole
+        mark[u] = 1
+        for y in nbrs:
+            mark[y] = 1
+        for i, p in enumerate(nbrs):
+            sinks = [q for q in nbrs[i + 1:] if not g.has_edge(p, q)]
+            if not sinks or w[p] >= limit:
+                continue
+            for q in sinks:
+                mark[q] = 2
+            prev = _paths_to_sinks(adj, w, mark, p, limit)
+            for q in sinks:
+                mark[q] = 1
+            for q in sinks:
+                if q in prev:
+                    path = []
+                    x = q
+                    while x != -1:
+                        path.append(x)
+                        x = prev[x]
+                    yield (u, *reversed(path))
+        mark[u] = 0
+        for y in nbrs:
+            mark[y] = 0
 
 
 def shortest_hole(g: Graph) -> list[int] | None:
-    """Shortest chordless cycle of length >= 4, or None if chordal.
-
-    Scans centers u and non-adjacent neighbor pairs (p, q); a hop-shortest
-    p..q path outside N[u] closes into an induced cycle through u.  Every
-    hole is found this way from any of its vertices as the center.
-    """
-    best: list[int] | None = None
-    for u in range(g.n):
-        nbrs = g.neighbors(u)
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                p, q = nbrs[i], nbrs[j]
-                if g.has_edge(p, q):
-                    continue
-                hole = _hole_through(g, u, p, q)
-                if hole is not None and (best is None or len(hole) < len(best)):
-                    best = hole
-    return best
+    """The first shortest chordless cycle of length >= 4 in (u, p, q)
+    order, or None if chordal: light_holes under unit weights, where a
+    hole's weight is its length, at most n."""
+    hole = min(light_holes(g, [1] * g.n, g.n + 1), key=len, default=None)
+    return None if hole is None else list(hole)
 
 
 def is_chordal(g: Graph) -> tuple[bool, list[int]]:
-    """Return (True, perfect elimination order) or (False, hole witness).
+    """Return (True, perfect elimination order) or (False, shortest hole).
 
     The reverse of a LexBFS order is a perfect elimination order exactly
-    on chordal graphs.  On verification failure the failure triple seeds
-    a BFS hole search, with a full scan as fallback.
+    on chordal graphs; the verdict comes from that check alone.
     """
     elim = list(reversed(lexbfs_order(g)))
-    ok, triple = _verify_peo(g, elim)
-    if ok:
+    if _is_peo(g, elim):
         return True, elim
-    if triple is None:
-        raise AssertionError("PEO verification failed without a witness triple")
-    v, p, w = triple
-    hole = _hole_through(g, v, p, w)
-    if hole is None:
-        hole = shortest_hole(g)
+    hole = shortest_hole(g)
     if hole is None:
         raise AssertionError("PEO verification failed on a chordal graph")
     return False, hole

@@ -4,12 +4,15 @@ in a terminal set T) via reductions to maximum matching.
 Any-parity packing: build an auxiliary graph with two adjacent copies of
 every non-terminal, terminals connected to both copies of their
 non-terminal neighbors, and all four copy-copy edges per non-terminal
-edge.  A maximum matching there exceeds the number of non-terminals by
+edge.  A maximum matching there exceeds the number of copy pairs by
 exactly the maximum number of vertex-disjoint T-paths.
 
 Odd packing: the auxiliary graph is the original graph plus a copy of
 G - T, with each non-terminal joined to its copy.  Odd T-paths
 correspond to matchings that alternate between original and copy edges.
+
+Both packers copy only the non-terminals that have an edge: an isolated
+one lies on no T-path, and its copy pair would only match itself.
 
 Each packer only builds its auxiliary graph, with the copy pairs and
 the map back to G; both then end in one shared tail, ``_pack``.  It
@@ -141,7 +144,7 @@ def _pack(T: frozenset[int], adj: list[list[int]], pairs: list[tuple[int, int]],
 def max_T_path_packing(g: Graph, terminals: Iterable[int]) -> PathPacking:
     """Maximum-cardinality packing of pairwise vertex-disjoint T-paths."""
     T = frozenset(terminals)
-    nonterm = [v for v in range(g.n) if v not in T]
+    nonterm = [v for v in range(g.n) if v not in T and g.degree(v)]
     # Terminals come first in sorted order, then the two copies of each
     # non-terminal side by side; back lists every auxiliary vertex's image.
     back = sorted(T) + [u for u in nonterm for _ in range(2)]
@@ -176,8 +179,9 @@ def max_T_path_packing(g: Graph, terminals: Iterable[int]) -> PathPacking:
 
 def _odd_aux_graph(g: Graph, T: frozenset[int]):
     """Auxiliary graph for odd T-path packing: G plus a copy g.n + i of
-    the i-th non-terminal, joined to it; returns (adj, pairs, back)."""
-    nonterm = [v for v in range(g.n) if v not in T]
+    the i-th non-terminal with an edge, joined to it; returns
+    (adj, pairs, back)."""
+    nonterm = [v for v in range(g.n) if v not in T and g.degree(v)]
     back = list(range(g.n)) + nonterm
     pairs = [(u, g.n + i) for i, u in enumerate(nonterm)]
     copy = dict(pairs)

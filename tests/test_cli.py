@@ -244,6 +244,7 @@ def test_usage_error_exit_code(capsys):
     ["bench", "--problem", "fvs", "--suite", "x", "--timeout", "-1"],
     ["bench", "--problem", "fvs", "--suite", "x", "--timeout", "0"],
     ["bench", "--problem", "fvs", "--suite", "x", "--timeout", "1e300"],
+    ["verify", "--problem", "fvs", "--trials", "many"],
 ])
 def test_negative_parameter_is_usage_error(capsys, c5_file, argv):
     if argv[0] == "detect":

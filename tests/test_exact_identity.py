@@ -118,8 +118,9 @@ def test_oracle_reference_finds_holes():
     # The comparison above is only worth something if holes come back.
     rng = random.Random(7)
     hits = 0
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(4, 10), 0.35)
+    for i in range(240):
+        n = rng.randint(4, 10) if i < 200 else rng.randint(12, 24)
+        g = random_graph(rng, n, 0.35)
         weights = [rng.choice([Fraction(0), Fraction(1, 4), Fraction(1, 2)]) for _ in range(g.n)]
         hole = lp.separation_oracle_holes(g, weights)
         assert hole == separation_oracle_pairwise(g, weights)

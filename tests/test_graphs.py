@@ -124,9 +124,11 @@ def test_parse_errors(text, fragment):
 
 
 def test_parse_error_reports_line_number():
-    with pytest.raises(GraphFormatError) as exc:
-        parse_graph("p ud 3 2\ne 1 2\ne 3 3\n")
-    assert exc.value.line_no == 3
+    # An edge-count mismatch is reported at the header's line.
+    for text in ("p ud 3 2\ne 1 2\ne 3 3\n", "c a\nc b\np ud 2 2\ne 1 2\n"):
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(text)
+        assert exc.value.line_no == 3
 
 
 @given(st.integers(0, 10**6))

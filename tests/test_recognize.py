@@ -1,9 +1,11 @@
 """Recognizers vs brute force on exhaustive small corpora."""
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from conftest import (
@@ -35,6 +37,15 @@ def assert_cycle(g: Graph, cycle, odd=False, min_len=3):
         assert len(cycle) % 2 == 1
     for i, u in enumerate(cycle):
         assert g.has_edge(u, cycle[(i + 1) % len(cycle)])
+
+
+def assert_hole(g: Graph, hole):
+    """hole is a cycle of length >= 4 with no edges besides its own."""
+    assert_cycle(g, hole, min_len=4)
+    for i, u in enumerate(hole):
+        for j in range(i + 2, len(hole)):
+            if (i, j) != (0, len(hole) - 1):
+                assert not g.has_edge(u, hole[j])
 
 
 def assert_dicycle(d: Digraph, cycle, odd=False):
@@ -181,13 +192,8 @@ def test_chordal_vs_brute(seed):
     if ok:
         assert verify_peo(g, payload)
     else:
-        assert len(payload) >= 4
-        assert_cycle(g, payload, min_len=4)
-        # Chordless: no edges besides the cycle edges.
-        for i, u in enumerate(payload):
-            for j in range(i + 2, len(payload)):
-                if (i, j) != (0, len(payload) - 1):
-                    assert not g.has_edge(u, payload[j])
+        assert_hole(g, payload)
+        assert len(payload) == brute_shortest_hole_len(g)
 
 
 def test_odd_dicycle_free():
@@ -268,7 +274,27 @@ def test_shortest_structures_random(seed):
     if h is None:
         assert brute_is_chordal(g)
     else:
+        assert_hole(g, h)
         assert len(h) == brute_shortest_hole_len(g)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_recognizers_vs_networkx(seed):
+    # Beyond brute-force reach: chordality with a shortest-hole witness,
+    # girth and bipartiteness against networkx at n = 20-40.
+    rng = random.Random(31_000 + seed)
+    g = random_graph(rng, rng.randint(20, 40), rng.choice([0.04, 0.08, 0.12, 0.2]))
+    G = nx.Graph(list(g.edges()))
+    G.add_nodes_from(range(g.n))
+    ok, payload = is_chordal(g)
+    assert ok == nx.is_chordal(G)
+    if not ok:
+        assert_hole(g, payload)
+        shorter = nx.chordless_cycles(G, length_bound=len(payload) - 1)
+        assert all(len(c) < 4 for c in shorter)
+    c = shortest_cycle(g)
+    assert (len(c) if c is not None else math.inf) == nx.girth(G)
+    assert is_bipartite(g)[0] == nx.is_bipartite(G)
 
 
 def brute_girth(g: Graph, odd=False):
