@@ -62,8 +62,8 @@ def _bounded(kind: type, ok: Callable[[float], bool], must: str):
 # three years) is accepted everywhere and is no practical limit.
 MAX_TIMEOUT_S = 1e8
 
-_non_negative_int = _bounded(int, lambda v: v >= 0, "non-negative")
-_positive_int = _bounded(int, lambda v: v >= 1, "positive")
+_non_negative_int = _bounded(int, lambda v: v >= 0, "a non-negative integer")
+_positive_int = _bounded(int, lambda v: v >= 1, "a positive integer")
 _positive_seconds = _bounded(float, lambda v: 0.0 < v <= MAX_TIMEOUT_S,
                              f"a positive number of seconds up to {MAX_TIMEOUT_S:g}")
 # c-approximate solutions are defined for c >= 1 only.

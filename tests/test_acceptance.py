@@ -65,7 +65,7 @@ def corpus(problem: str) -> tuple:
     instances = []
     for density in DENSITIES:
         for trial in range(TRIALS_PER_DENSITY):
-            seed = hash((problem, density, trial)) & 0x7FFFFFFF
+            seed = random.Random(f"{problem}-{density}-{trial}").getrandbits(31)
             instances.append(gnp(n, density, seed, directed))
     for q in FLOWER_QS:
         instances.append(planted_flower(problem, q))

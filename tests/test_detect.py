@@ -184,7 +184,7 @@ def test_detect_directedness_mismatch():
 @pytest.mark.parametrize("problem", ["vc", "fvs", "oct"])
 @pytest.mark.parametrize("seed", range(25))
 def test_contracts_small_undirected(problem, seed):
-    rng = random.Random(hash((problem, seed)) & 0xFFFF)
+    rng = random.Random(f"{problem}-{seed}")
     g = random_graph(rng, rng.randint(1, 7), rng.choice([0.2, 0.4, 0.6]))
     from essentia.oracle import brute_opt
 
@@ -198,7 +198,7 @@ def test_contracts_small_undirected(problem, seed):
 @pytest.mark.parametrize("problem", ["dfvs", "doct"])
 @pytest.mark.parametrize("seed", range(25))
 def test_contracts_small_directed(problem, seed):
-    rng = random.Random(hash((problem, seed)) & 0xFFFF)
+    rng = random.Random(f"{problem}-{seed}")
     d = random_digraph(rng, rng.randint(1, 6), rng.choice([0.2, 0.35]))
     from essentia.oracle import brute_opt
 

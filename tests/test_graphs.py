@@ -49,6 +49,12 @@ def test_digraph_allows_antiparallel():
     d = Digraph(2, [(0, 1), (1, 0)])
     assert d.m == 2
     assert d.has_arc(0, 1) and d.has_arc(1, 0)
+    # An edge is stored as two arcs, so the rows match those of the
+    # antiparallel pair; the two types still differ.
+    g = Graph(2, [(0, 1)])
+    assert [g.neighbors(v) for v in range(2)] == [d.successors(v) for v in range(2)]
+    assert g != d and d != g
+    assert serialize_graph(g) != serialize_graph(d)
 
 
 def test_delete_from_triangle():

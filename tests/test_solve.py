@@ -57,7 +57,7 @@ def test_budgeted_rejects_mismatch():
 @pytest.mark.parametrize("problem", ["vc", "fvs", "oct", "cvd"])
 @pytest.mark.parametrize("seed", range(15))
 def test_budgeted_random_undirected(problem, seed):
-    rng = random.Random(hash((problem, seed)) & 0xFFFF)
+    rng = random.Random(f"{problem}-{seed}")
     g = random_graph(rng, rng.randint(1, 7), rng.choice([0.3, 0.5, 0.7]))
     opt, _ = brute_opt(problem, g)
     sol, _ = exact_budgeted_solve(problem, g, opt)
@@ -71,7 +71,7 @@ def test_budgeted_random_undirected(problem, seed):
 @pytest.mark.parametrize("problem", ["dfvs", "doct"])
 @pytest.mark.parametrize("seed", range(15))
 def test_budgeted_random_directed(problem, seed):
-    rng = random.Random(hash((problem, seed)) & 0xFFFF)
+    rng = random.Random(f"{problem}-{seed}")
     d = random_digraph(rng, rng.randint(1, 6), rng.choice([0.25, 0.4]))
     opt, _ = brute_opt(problem, d)
     sol, _ = exact_budgeted_solve(problem, d, opt)
@@ -100,7 +100,7 @@ def test_meta_named():
 @pytest.mark.parametrize("problem", ["vc", "fvs", "oct", "cvd"])
 @pytest.mark.parametrize("seed", range(12))
 def test_meta_random_undirected(problem, seed):
-    rng = random.Random(hash(("meta", problem, seed)) & 0xFFFF)
+    rng = random.Random(f"meta-{problem}-{seed}")
     n = rng.randint(1, 7)
     g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
     opt, _ = brute_opt(problem, g)
@@ -112,7 +112,7 @@ def test_meta_random_undirected(problem, seed):
 @pytest.mark.parametrize("problem", ["dfvs", "doct"])
 @pytest.mark.parametrize("seed", range(12))
 def test_meta_random_directed(problem, seed):
-    rng = random.Random(hash(("meta", problem, seed)) & 0xFFFF)
+    rng = random.Random(f"meta-{problem}-{seed}")
     d = random_digraph(rng, rng.randint(1, 6), rng.choice([0.25, 0.4]))
     opt, _ = brute_opt(problem, d)
     res = meta_solve(problem, d)

@@ -20,6 +20,18 @@ def test_no_assert_statements_in_src():
     assert not found, f"assert statements in src: {found}"
 
 
+def test_tests_do_not_call_builtin_hash():
+    # str hashes are salted per process, so a seed derived with hash()
+    # gives a different test input on every run.
+    found = []
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "hash"]
+    assert not found, f"hash() calls in tests: {found}"
+
+
 def _imported_modules(tree: ast.AST) -> set[str]:
     """Dotted names a module of the package imports, relative ones
     resolved against ``essentia``."""
