@@ -11,12 +11,14 @@ Three search cores serve several callers.  ``_bfs_forest`` is the
 all-roots BFS forest of is_bipartite and is_acyclic_undirected, which
 differ only in the edge that closes a witness.  ``_closed_walk`` is the
 per-root BFS for a shortest (odd) closed walk that shortest_dicycle,
-shortest_odd_dicycle and shortest_odd_cycle extract cycles from.
-``light_holes`` is the one hole search, a sink Dijkstra per (center,
-neighbour): shortest_hole (and with it is_chordal's witness) runs it
-under unit weights, and the CVD LP's separation oracle under the scaled
-LP assignment.  shortest_cycle keeps its own per-root BFS, cut off at
-the incumbent.
+shortest_odd_dicycle and shortest_odd_cycle extract cycles from; each
+caller caps the walk at the most edges that could still replace its
+incumbent.  ``light_holes`` is the one hole search, a sink Dijkstra per
+(center, neighbour): shortest_hole (and with it is_chordal's witness)
+runs it under unit weights, and the CVD LP's separation oracle under the
+scaled LP assignment.  shortest_cycle keeps its own per-root BFS, cut
+off at the incumbent.  Roots that lie on no cycle because they have no
+neighbours (no predecessors, for digraphs) are skipped.
 """
 from __future__ import annotations
 
@@ -278,32 +280,41 @@ def is_chordal(g: Graph) -> tuple[bool, list[int]]:
     return False, hole
 
 
-def _closed_walk(s: int, succ: Callable[[int], Sequence[int]], odd: bool) -> list[int] | None:
-    """A shortest closed walk through s, of odd length when odd is set,
-    with walk[0] == walk[-1] == s; None if there is none.
+def _closed_walk(
+    s: int, succ: Callable[[int], Sequence[int]], odd: bool, limit: int
+) -> list[int] | None:
+    """A shortest closed walk through s of at most limit edges, of odd
+    length when odd is set, with walk[0] == walk[-1] == s; None if there
+    is none.
 
-    BFS over states 2v + parity, where a step u -> w (w in succ(u)) flips
-    the parity only when odd is set: the walk runs from state 2s to state
-    2s + odd.  The goal is tested first, as without parity it is the start.
+    BFS over states 2v + parity, level by level, where a step u -> w
+    (w in succ(u)) flips the parity only when odd is set: the walk runs
+    from state 2s to state 2s + odd.  The goal is tested first, as without
+    parity it is the start.  The walk returned is the one an unlimited
+    BFS returns whenever that one has at most limit edges.
     """
     flip = int(odd)
     goal = 2 * s + flip
     prev: dict[int, int] = {2 * s: -1}
-    queue = deque([2 * s])
-    while queue:
-        x = queue.popleft()
-        for w in succ(x >> 1):
-            y = 2 * w + ((x & 1) ^ flip)
-            if y == goal:
-                walk = [s]
-                while x != -1:
-                    walk.append(x >> 1)
-                    x = prev[x]
-                walk.reverse()
-                return walk
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
+    level = [2 * s]
+    for _ in range(limit):
+        following = []
+        for x in level:
+            for w in succ(x >> 1):
+                y = 2 * w + ((x & 1) ^ flip)
+                if y == goal:
+                    walk = [s]
+                    while x != -1:
+                        walk.append(x >> 1)
+                        x = prev[x]
+                    walk.reverse()
+                    return walk
+                if y not in prev:
+                    prev[y] = x
+                    following.append(y)
+        if not following:
+            break
+        level = following
     return None
 
 
@@ -317,6 +328,8 @@ def shortest_cycle(g: Graph) -> list[int] | None:
     """A shortest cycle (vertex list), or None if the graph is a forest."""
     best: list[int] | None = None
     for root in range(g.n):
+        if not g.neighbors(root):
+            continue
         parent = {root: -1}
         depth = {root: 0}
         queue = deque([root])
@@ -340,8 +353,11 @@ def shortest_odd_cycle(g: Graph) -> list[int] | None:
     """A shortest odd cycle, or None if the graph is bipartite."""
     best: list[int] | None = None
     for s in range(g.n):
-        walk = _closed_walk(s, g.neighbors, odd=True)
-        if walk is not None and (best is None or len(walk) - 1 <= len(best)):
+        # A walk is kept only if its edge count is at most len(best); a
+        # shortest odd closed walk has at most 2n edges.
+        limit = 2 * g.n if best is None else len(best)
+        walk = _closed_walk(s, g.neighbors, True, limit)
+        if walk is not None:
             cand = _cycle_from_walk(walk, odd=True)
             if best is None or len(cand) < len(best):
                 best = cand
@@ -353,8 +369,12 @@ def _shortest_dicycle(d: Digraph, odd: bool) -> list[int] | None:
     first root wins ties); None if there is none."""
     walk: list[int] | None = None
     for s in range(d.n):
-        cand = _closed_walk(s, d.successors, odd)
-        if cand is not None and (walk is None or len(cand) < len(walk)):
+        if not d.predecessors(s):
+            continue
+        # Only a walk with fewer edges than the incumbent's replaces it.
+        limit = 2 * d.n if walk is None else len(walk) - 2
+        cand = _closed_walk(s, d.successors, odd, limit)
+        if cand is not None:
             walk = cand
     if walk is None:
         return None

@@ -18,6 +18,14 @@ with the node's own structure, bounds the minimum from below: the node
 fails when the packing exceeds the budget, and returns as soon as a
 child's set meets the bound.  After each solution the budget drops to
 one below its size, so later children search for smaller sets only.
+
+Memo.  A node's graph is the solver's input with the vertices of a
+bitmask isolated; isolate commutes, so equal masks mean equal graphs.
+A dict from mask to forbidden structure runs each structure search once
+per distinct graph, and the packing isolates its structures only when a
+lookup misses.  meta_solve keeps one residual and one memo per distinct
+selected set, so its attempts at budgets b, b + 1, ... on one residual
+reuse the searches of the ones before.  The memo lives for one call.
 """
 from __future__ import annotations
 
@@ -64,37 +72,54 @@ class MetaResult:
         return max(a.budget for a in self.attempts)
 
 
-def _packing_bound(prob: Problem, h: Graph | Digraph, structure: list[int], cap: int) -> int:
+def _packing_bound(
+    prob: Problem, h: Graph | Digraph, mask: int, structure: list[int],
+    cap: int, memo: dict,
+) -> int:
     """Size of a greedy packing of vertex-disjoint forbidden structures of
     h that starts with structure; stops counting at cap + 1.
 
     Every deletion set hits each structure of the packing, so its size is
     a lower bound on the minimum.  For vc the packing is a greedy matching.
+    h is the root graph with the vertices of mask isolated; the packed
+    structures are isolated only when the memo misses.
     """
     size = 1
+    pending: list[int] = []
     while size <= cap:
+        pending += structure
         for v in structure:
-            h = isolate(h, v)
-        structure = prob.forbidden_structure(h)
+            mask |= 1 << v
+        if mask not in memo:
+            for v in pending:
+                h = isolate(h, v)
+            pending.clear()
+            memo[mask] = prob.forbidden_structure(h)
+        structure = memo[mask]
         if structure is None:
             break
         size += 1
     return size
 
 
-def _branch(prob: Problem, h: Graph | Digraph, b: int, nodes: list[int]) -> list[int] | None:
+def _branch(
+    prob: Problem, h: Graph | Digraph, mask: int, b: int, nodes: list[int], memo: dict
+) -> list[int] | None:
     """Minimum deletion set of h within budget b, or None; counts its
-    branching-tree nodes into nodes[0]."""
+    branching-tree nodes into nodes[0].  h is the root graph with the
+    vertices of mask isolated."""
     nodes[0] += 1
-    structure = prob.forbidden_structure(h)
+    if mask not in memo:
+        memo[mask] = prob.forbidden_structure(h)
+    structure = memo[mask]
     if structure is None:
         return []
-    bound = _packing_bound(prob, h, structure, b)
+    bound = _packing_bound(prob, h, mask, structure, b, memo)
     if bound > b:
         return None
     best: list[int] | None = None
     for w in structure:
-        sub = _branch(prob, isolate(h, w), b - 1, nodes)
+        sub = _branch(prob, isolate(h, w), mask | 1 << w, b - 1, nodes, memo)
         if sub is not None:
             best = [w] + sub
             if len(best) == bound:
@@ -105,7 +130,7 @@ def _branch(prob: Problem, h: Graph | Digraph, b: int, nodes: list[int]) -> list
 
 
 def exact_budgeted_solve(
-    problem: str, g: Graph | Digraph, budget: int
+    problem: str, g: Graph | Digraph, budget: int, memo: dict | None = None
 ) -> tuple[list[int] | None, int]:
     """Minimum deletion set if one of size <= budget exists, else None;
     also returns the branching-tree node count.
@@ -115,13 +140,18 @@ def exact_budgeted_solve(
     is cut only when a packing of disjoint structures shows that it holds
     no set within its budget, or no set smaller than the best one found,
     so by induction the result is a true minimum within budget.
+
+    memo maps the bitmask of isolated vertices to the forbidden structure
+    of g with those vertices isolated.  It belongs to g: pass one dict
+    only to calls on equal graphs.  Without it, the call starts a fresh one.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
     prob = PROBLEMS[problem]
     prob.check_graph(g)
     nodes = [0]
-    return _branch(prob, g, budget, nodes), nodes[0]
+    memo = {} if memo is None else memo
+    return _branch(prob, g, 0, budget, nodes, memo), nodes[0]
 
 
 def meta_solve(problem: str, g: Graph | Digraph) -> MetaResult:
@@ -140,9 +170,13 @@ def meta_solve(problem: str, g: Graph | Digraph) -> MetaResult:
     schedule.sort(key=lambda t: (t.budget, t.k))
 
     attempts = []
+    # One residual and one structure memo per distinct selected set.
+    residuals: dict[frozenset[int], tuple[Graph | Digraph, dict]] = {}
     for triple in schedule:
-        residual = delete_vertices(g, triple.selected)
-        sol, nodes = exact_budgeted_solve(problem, residual, triple.budget)
+        if triple.selected not in residuals:
+            residuals[triple.selected] = (delete_vertices(g, triple.selected), {})
+        residual, memo = residuals[triple.selected]
+        sol, nodes = exact_budgeted_solve(problem, residual, triple.budget, memo)
         success = sol is not None and len(sol) == triple.budget
         attempts.append(MetaAttempt(triple.k, triple.budget, nodes, success))
         if success:

@@ -297,6 +297,51 @@ def test_recognizers_vs_networkx(seed):
     assert is_bipartite(g)[0] == nx.is_bipartite(G)
 
 
+def _shortest_length(cycles, odd: bool) -> float:
+    return min((len(c) for c in cycles if not odd or len(c) % 2), default=math.inf)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cycle_searches_vs_networkx(seed):
+    # Beyond brute-force reach: the closed-walk searches against cycle
+    # enumeration by networkx at n = 20-40.  Only cycles shorter than the
+    # one returned are enumerated, plus its own length.
+    rng = random.Random(32_000 + seed)
+    n = rng.randint(20, 40)
+    g = random_graph(rng, n, rng.choice([0.04, 0.06, 0.08, 0.12]))
+    G = nx.Graph(list(g.edges()))
+    G.add_nodes_from(range(n))
+    oc = shortest_odd_cycle(g)
+    if oc is None:
+        assert nx.is_bipartite(G)
+    else:
+        # A shortest odd cycle has no chord, or the chord would close a
+        # shorter odd one.
+        assert_cycle(g, oc, odd=True)
+        found = _shortest_length(nx.chordless_cycles(G, length_bound=len(oc)), odd=True)
+        assert found == len(oc)
+
+    d = random_digraph(rng, n, rng.choice([0.03, 0.04, 0.05, 0.08]))
+    D = nx.DiGraph(list(d.arcs()))
+    D.add_nodes_from(range(n))
+    c = shortest_dicycle(d)
+    if c is None:
+        assert nx.is_directed_acyclic_graph(D)
+    else:
+        assert_dicycle(d, c)
+        assert _shortest_length(nx.simple_cycles(D, length_bound=len(c)), odd=False) == len(c)
+    odd = shortest_odd_dicycle(d)
+    if odd is None:
+        # A strongly connected digraph has an odd directed cycle exactly
+        # when its underlying graph is not bipartite.
+        assert all(nx.is_bipartite(D.subgraph(comp).to_undirected())
+                   for comp in nx.strongly_connected_components(D))
+    else:
+        assert_dicycle(d, odd, odd=True)
+        found = _shortest_length(nx.simple_cycles(D, length_bound=len(odd)), odd=True)
+        assert found == len(odd)
+
+
 def brute_girth(g: Graph, odd=False):
     from itertools import permutations
 

@@ -17,7 +17,7 @@ from conftest import (
 from essentia.generate import gnp
 from essentia.graphs import Digraph, Graph, delete_vertices
 from essentia.oracle import brute_opt, oracle_report
-from essentia.problems import PROBLEMS
+from essentia.problems import PROBLEM_IDS, PROBLEMS
 from essentia.solve import exact_budgeted_solve, meta_solve
 
 
@@ -118,6 +118,23 @@ def test_meta_random_directed(problem, seed):
     res = meta_solve(problem, d)
     assert len(res.solution.vertices) == opt
     check_feasible(problem, d, res.solution.vertices)
+
+
+@pytest.mark.parametrize("problem", PROBLEM_IDS)
+@pytest.mark.parametrize("seed", range(5))
+def test_shared_memo_changes_no_result(problem, seed):
+    # meta_solve shares one structure memo between the attempts on one
+    # residual; a memo filled at lower budgets must change no later result.
+    rng = random.Random(f"memo-{problem}-{seed}")
+    n = rng.randint(8, 11 if problem == "cvd" else 16)
+    g = gnp(n, rng.choice([0.15, 0.25, 0.35]), rng.getrandbits(31),
+            directed=PROBLEMS[problem].directed)
+    first = meta_solve(problem, g)
+    memo: dict = {}
+    for b in range(len(first.solution.vertices) + 2):
+        assert exact_budgeted_solve(problem, g, b, memo) == exact_budgeted_solve(problem, g, b)
+    # Nothing a call keeps leaks into the next: attempts and nodes repeat.
+    assert meta_solve(problem, g) == first
 
 
 def test_meta_budget_bounded_by_nonessentiality():

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import ast
+import cProfile
 import importlib.util
+import pstats
 import sys
 from pathlib import Path
 
@@ -69,6 +71,18 @@ def _load(path: Path, monkeypatch):
     return module
 
 
+def _calls_by_caller(profile: cProfile.Profile, fn) -> dict[tuple[str, str], int]:
+    """Calls of fn that profile recorded, keyed by the caller's (file
+    name, function name)."""
+    code = fn.__code__
+    entry = pstats.Stats(profile).stats.get(
+        (code.co_filename, code.co_firstlineno, code.co_name))
+    if entry is None:
+        return {}
+    return {(Path(file).name, name): counts[0]
+            for (file, _, name), counts in entry[4].items()}
+
+
 def test_traced_benchmark_names_are_called(monkeypatch):
     # The traced benchmark wraps module attributes that the library looks
     # up at call time; a call that bypasses one records no span there.
@@ -99,11 +113,23 @@ def test_traced_benchmark_names_are_called(monkeypatch):
         "cvd": {"lp.solve_v_avoiding_lp", "lp.separation_oracle", "simplex.simplex_min"},
     }
     for problem, g in graphs.items():
+        structure = E.problems.PROBLEMS[problem].forbidden_structure
         tracer = tracing.Tracer()
+        profile = cProfile.Profile()
         with tracing.installed(tracer, E):
-            result = E.solve.meta_solve(problem, g)
+            profile.enable()
+            try:
+                E.solve.meta_solve(problem, g)
+            finally:
+                profile.disable()
         names = [span[0] for span in tracer.spans()]
         wanted = solving | detecting[problem]
         assert wanted <= set(names), (problem, sorted(wanted - set(names)))
-        # Every branching node looks up a structure through PROBLEMS.
-        assert names.count("recognize.forbidden_structure") >= result.solver_nodes
+        # Every structure search the solver runs goes through PROBLEMS,
+        # one span per call: the tracing wrapper made each call that has
+        # a span, and only recognize's own recognizers (inside in_class)
+        # call the structure function any other way.
+        callers = _calls_by_caller(profile, structure)
+        wrapped = callers.pop(("tracing.py", "traced"), 0)
+        assert wrapped == names.count("recognize.forbidden_structure") > 0, problem
+        assert all(file == "recognize.py" for file, _ in callers), (problem, callers)
