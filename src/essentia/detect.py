@@ -19,15 +19,28 @@ depends only on k; v is selected when score(v) > bar(k) and k < n:
                      relaxation; bar: 1.
   CVD                score: cost of the avoiding LP pinning x_v = 0;
                      bar: k.
+
+The flower and separator scores of v depend only on v's weak component,
+so fvs, oct, dfvs and doct score each component's induced subgraph
+(``graphs.induced``, which keeps the vertex order, so every kernel runs
+the same steps as on the whole graph) and map the certificates back; each
+kernel call is then sized by its component, not by n.  vc stays whole:
+it is one matching of the double cover, not one kernel per vertex.  cvd
+stays whole too: its avoiding-LP cost is a sum over the whole graph, and
+the hole pool it carries from vertex to vertex fixes its pivot order.
+
+``detector_factory`` scores once and sorts the vertices by score, so the
+detector for each k is a binary search plus sorting what it returns.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from .flows import min_vertex_separator
-from .graphs import Digraph, Graph, isolate
+from .graphs import Digraph, Graph, components, induced, isolate
 from .lp import LPState, solve_v_avoiding_lp
 from .matching import min_vertex_cover_bipartite
 from .problems import PROBLEMS
@@ -41,6 +54,11 @@ class FlowerCertificate:
     center: int
     petals: tuple[tuple[int, ...], ...]  # each starts at the center
 
+    def relabel(self, vs: tuple[int, ...]) -> FlowerCertificate:
+        """The certificate with every vertex i renamed vs[i]."""
+        return FlowerCertificate(
+            vs[self.center], tuple(tuple(vs[x] for x in p) for p in self.petals))
+
 
 @dataclass(frozen=True)
 class DoctCertificate:
@@ -50,6 +68,14 @@ class DoctCertificate:
     vertex: int
     separator: frozenset[tuple[int, int]]
     paths: tuple[tuple[tuple[int, int], ...], ...]
+
+    def relabel(self, vs: tuple[int, ...]) -> DoctCertificate:
+        """The certificate with every vertex i renamed vs[i]."""
+        return DoctCertificate(
+            vs[self.vertex],
+            frozenset((vs[x], parity) for x, parity in self.separator),
+            tuple(tuple((vs[x], parity) for x, parity in p) for p in self.paths),
+        )
 
 
 @dataclass(frozen=True)
@@ -189,12 +215,29 @@ def _cvd_scores(g: Graph) -> list[tuple[Fraction, LPState]]:
     return states
 
 
+def _per_component(score_fn: Callable) -> Callable:
+    """score_fn run on each weak component's induced subgraph, with the
+    scores and certificates mapped back to the ids of the whole graph."""
+    def scores(g: Graph | Digraph) -> list:
+        out: list = [None] * g.n
+        for vs in components(g):
+            for v, (score, cert) in zip(vs, score_fn(induced(g, vs))):
+                out[v] = (score, cert.relabel(vs))
+        return out
+
+    return scores
+
+
+def _each_vertex(flower_number: Callable) -> Callable:
+    return lambda g: [flower_number(g, v) for v in range(g.n)]
+
+
 # problem -> (per-vertex (score, certificate) list, bar(k)).
 _SCORES: dict[str, tuple[Callable, Callable[[int], int]]] = {
-    "fvs": (lambda g: [flower_number_fvs(g, v) for v in range(g.n)], lambda k: k),
-    "oct": (lambda g: [flower_number_oct(g, v) for v in range(g.n)], lambda k: k),
-    "dfvs": (lambda d: [flower_number_dfvs(d, v) for v in range(d.n)], lambda k: k),
-    "doct": (_doct_scores, lambda k: 2 * k),
+    "fvs": (_per_component(_each_vertex(flower_number_fvs)), lambda k: k),
+    "oct": (_per_component(_each_vertex(flower_number_oct)), lambda k: k),
+    "dfvs": (_per_component(_each_vertex(flower_number_dfvs)), lambda k: k),
+    "doct": (_per_component(_doct_scores), lambda k: 2 * k),
     "vc": (_vc_scores, lambda k: 1),
     "cvd": (_cvd_scores, lambda k: k),
 }
@@ -202,18 +245,19 @@ _SCORES: dict[str, tuple[Callable, Callable[[int], int]]] = {
 
 def detector_factory(problem: str, g: Graph | Digraph) -> Callable[[int], DetectionResult]:
     """Score every vertex once; the returned closure evaluates the
-    detector for any budget k in O(n)."""
+    detector for any budget k by a binary search over the sorted scores."""
     PROBLEMS[problem].check_graph(g)
     score_fn, bar = _SCORES[problem]
     scored = score_fn(g)
     extra = {"assignment": tuple(x for _, x in scored)} if problem == "vc" else None
+    by_score = sorted(range(g.n), key=lambda v: scored[v][0])
+    keys = [scored[v][0] for v in by_score]
 
     def detector(k: int) -> DetectionResult:
         if k >= g.n:
             # opt < n <= k on non-empty graphs: G2 asks for nothing, {} meets G1.
             return DetectionResult(problem, k, frozenset())
-        threshold = bar(k)
-        chosen = [v for v in range(g.n) if scored[v][0] > threshold]
+        chosen = sorted(by_score[bisect_right(keys, bar(k)):])
         certs = {v: scored[v][1] for v in chosen}
         return DetectionResult(problem, k, frozenset(chosen), certs, extra)
 

@@ -8,6 +8,12 @@ Deleting vertices keeps every id: the deleted vertices stay behind
 isolated, so a set found on the residual graph needs no translation
 back, and every untouched row is shared with the input.
 
+``components`` splits a graph into weak components (an arc joins its two
+ends either way), and ``induced`` relabels a vertex subset to 0, 1, ...
+in increasing order, so every row stays sorted and each vertex keeps its
+place relative to the others; the per-vertex detection kernels run on
+one component at a time this way.
+
 The on-disk format is line based:
 
     p ud <n> <m>      undirected header   (``p di <n> <m>`` for directed)
@@ -19,7 +25,7 @@ offending line number.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -162,6 +168,43 @@ def delete_vertices(g: Graph | Digraph, xs: Iterable[int]) -> Graph | Digraph:
             raise GraphError(f"vertex id {x} out of range")
         g = isolate(g, x)
     return g
+
+
+def components(g: Graph | Digraph) -> list[tuple[int, ...]]:
+    """Weak components of g, each sorted, in order of their least vertex;
+    an isolated vertex is a component of its own."""
+    sides = (g._out, g._in) if g.directed else (g._out,)
+    seen = [False] * g.n
+    out = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        for u in comp:  # comp grows while it is read: a BFS
+            for rows in sides:
+                for w in rows[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+        out.append(tuple(sorted(comp)))
+    return out
+
+
+def induced(g: Graph | Digraph, vs: Sequence[int]) -> Graph | Digraph:
+    """The subgraph of g induced by the increasing vertex ids vs, with
+    vs[i] relabelled to i.  Like ``isolate`` it maps the rows directly and
+    does not revalidate them."""
+    pos = {v: i for i, v in enumerate(vs)}
+
+    def rows(source: tuple) -> tuple:
+        return tuple(tuple(pos[x] for x in source[v] if x in pos) for v in vs)
+
+    h = type(g).__new__(type(g))
+    h.n = len(vs)
+    h._out = rows(g._out)
+    h._in = rows(g._in) if g.directed else h._out
+    return h
 
 
 def parse_graph(text: str) -> Graph | Digraph:

@@ -54,3 +54,13 @@ def petersen_graph() -> Graph:
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return Graph(10, outer + inner + spokes)
+
+
+def disjoint_union(*parts: Graph | Digraph) -> Graph | Digraph:
+    """The parts side by side, each shifted past the ones before it."""
+    offset, pairs = 0, []
+    for part in parts:
+        pairs += [(u + offset, v + offset)
+                  for u, v in (part.arcs() if part.directed else part.edges())]
+        offset += part.n
+    return type(parts[0])(offset, pairs)

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, random_digraph, random_graph
+from conftest import complete_graph, cycle_graph, disjoint_union, random_digraph, random_graph
 from essentia.detect import (
+    _doct_scores,
     _shorten,
     detect,
     detector_factory,
@@ -15,6 +16,7 @@ from essentia.detect import (
     flower_number_oct,
     vc_lp_halfintegral,
 )
+from essentia.generate import gnp, planted_ess
 from essentia.graphs import Digraph, Graph, delete_vertices
 from essentia.oracle import brute_flower, verify_detection
 from essentia.tpaths import max_odd_T_path_packing, max_T_path_packing
@@ -285,3 +287,44 @@ def test_flower_minmax_when_rest_in_class(seed):
                 break
         assert count == best, (problem, g, count, best)
         checked += 1
+
+
+def _whole_graph_scores(problem, g):
+    """The per-vertex kernels run on the whole graph, without the split
+    into components."""
+    if problem == "doct":
+        return _doct_scores(g)
+    flower_number = {"fvs": flower_number_fvs, "oct": flower_number_oct,
+                     "dfvs": flower_number_dfvs}[problem]
+    return [flower_number(g, v) for v in range(g.n)]
+
+
+def _split_instances():
+    for problem in ("fvs", "oct", "dfvs"):
+        for seed in range(3):
+            yield problem, planted_ess(problem, centers=2 + seed, background=2, seed=seed)
+    for seed in range(4):
+        parts = [gnp(4 + (seed + i) % 5, 0.3, 10 * seed + i, directed=True)
+                 for i in range(2 + seed % 2)]
+        yield "doct", disjoint_union(*parts)
+    for problem in ("fvs", "oct", "dfvs", "doct"):
+        directed = problem in ("dfvs", "doct")
+        for seed in range(4):
+            # Deleting vertices leaves them isolated between the others.
+            g = gnp(12, 0.3, seed, directed=directed)
+            yield problem, delete_vertices(g, {seed, 5, 11 - seed})
+
+
+@pytest.mark.parametrize("problem,g", list(_split_instances()))
+def test_component_scores_match_the_whole_graph(problem, g):
+    scored = _whole_graph_scores(problem, g)
+    detector = detector_factory(problem, g)
+    for k in range(g.n + 1):
+        res = detector(k)
+        bar = 2 * k if problem == "doct" else k
+        expected = [] if k >= g.n else [v for v in range(g.n) if scored[v][0] > bar]
+        assert res.vertices == frozenset(expected), k
+        assert res.certificates == {v: scored[v][1] for v in expected}, k
+        if problem != "doct":
+            for cert in res.certificates.values():
+                verify_flower_certificate(problem, g, cert)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 
 import pytest
+import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,9 @@ from essentia.graphs import (
     Graph,
     GraphError,
     GraphFormatError,
+    components,
     delete_vertices,
+    induced,
     isolate,
     parse_graph,
     serialize_graph,
@@ -186,3 +189,44 @@ def test_isolate_matches_delete_vertices(seed, directed):
         for prob in problems:
             assert prob.in_class(h) == prob.in_class(rebuilt), (prob.id, w)
     assert _views(g) == before
+
+
+def test_components_named():
+    # An arc joins its two ends whichever way it points; isolated vertices
+    # are components of their own, and components come by least vertex.
+    d = Digraph(7, [(5, 0), (3, 1), (1, 6)])
+    assert components(d) == [(0, 5), (1, 3, 6), (2,), (4,)]
+    g = Graph(6, [(4, 2), (2, 0), (3, 5)])
+    assert components(g) == [(0, 2, 4), (1,), (3, 5)]
+    assert components(Graph(0)) == []
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("directed", [False, True])
+def test_components_vs_networkx(seed, directed):
+    rng = random.Random(seed)
+    n, p = rng.randint(1, 30), rng.choice([0.03, 0.08, 0.15])
+    g = random_digraph(rng, n, p) if directed else random_graph(rng, n, p)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(g.arcs() if directed else g.edges())
+    expected = sorted(tuple(sorted(c)) for c in nx.connected_components(h))
+    assert components(g) == expected
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("directed", [False, True])
+def test_induced_maps_edges_by_position(seed, directed):
+    rng = random.Random(seed)
+    n, p = rng.randint(1, 12), rng.choice([0.2, 0.4, 0.7])
+    g = random_digraph(rng, n, p) if directed else random_graph(rng, n, p)
+    assert induced(g, range(g.n)) == g
+    vs = tuple(v for v in range(n) if rng.random() < 0.6)
+    h = induced(g, vs)
+    pos = {v: i for i, v in enumerate(vs)}
+    pairs = g.arcs() if directed else g.edges()
+    kept = [(pos[u], pos[v]) for u, v in pairs if u in pos and v in pos]
+    # A fresh, validated build of the same subgraph, in-rows included.
+    rebuilt = type(g)(len(vs), kept)
+    assert _views(h) == _views(rebuilt)
+    assert h == rebuilt and h.n == len(vs)

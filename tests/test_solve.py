@@ -14,9 +14,10 @@ from conftest import (
     random_digraph,
     random_graph,
 )
-from essentia.generate import gnp
+from essentia.detect import detector_factory
+from essentia.generate import gnp, planted_ess
 from essentia.graphs import Digraph, Graph, delete_vertices
-from essentia.oracle import brute_opt, oracle_report
+from essentia.oracle import brute_opt, feasible, oracle_report
 from essentia.problems import PROBLEM_IDS, PROBLEMS
 from essentia.solve import exact_budgeted_solve, meta_solve
 
@@ -147,6 +148,24 @@ def test_meta_budget_bounded_by_nonessentiality():
     g5 = cycle_graph(5)
     res = meta_solve("oct", g5)
     assert res.max_budget_attempted <= oracle_report("oct", g5).ell
+
+
+@pytest.mark.parametrize("seed,problem", enumerate(("vc", "fvs", "oct", "dfvs")))
+def test_planted_claim_beyond_oracle_scale(seed, problem):
+    # n = 726 (vc) or 1,425, far past the brute-force oracle. Every one of
+    # the 24 centers carries 29 petals, so it is 2-essential by
+    # construction, and each of the 3 background pieces costs one vertex:
+    # opt = 27 and ell = 3.
+    g = planted_ess(problem, centers=24, background=3, seed=seed)
+    degree = [len(g._out[v]) + (len(g._in[v]) if g.directed else 0) for v in range(g.n)]
+    centers = {v for v in range(g.n) if degree[v] > 2}
+    assert len(centers) == 24
+    opt = len(centers) + 3
+    assert centers <= detector_factory(problem, g)(opt).vertices  # G2
+    res = meta_solve(problem, g)
+    assert len(res.solution.vertices) == opt
+    assert feasible(problem, g, res.solution.vertices)
+    assert res.max_budget_attempted <= 3
 
 
 def test_nonessentiality_named():

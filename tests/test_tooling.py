@@ -3,10 +3,16 @@ from __future__ import annotations
 
 import ast
 import cProfile
+import importlib
 import importlib.util
 import pstats
 import sys
 from pathlib import Path
+
+import networkx as nx
+
+from conftest import disjoint_union
+from essentia.generate import gnp, planted_ess
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "essentia"
@@ -133,3 +139,40 @@ def test_traced_benchmark_names_are_called(monkeypatch):
         wrapped = callers.pop(("tracing.py", "traced"), 0)
         assert wrapped == names.count("recognize.forbidden_structure") > 0, problem
         assert all(file == "recognize.py" for file, _ in callers), (problem, callers)
+
+
+def _largest_component(g) -> int:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.arcs() if g.directed else g.edges())
+    return max(len(c) for c in nx.connected_components(h))
+
+
+def test_detection_kernels_are_sized_by_component(monkeypatch):
+    # Splitting detection into components changes no output, so only the
+    # sizes of the kernels' graphs show that the split still happens.
+    # The package exports a function named detect, so fetch the module.
+    detect = importlib.import_module("essentia.detect")
+    sizes = []
+
+    def recording(kernel):
+        def record(graph, *args):
+            sizes.append(graph.n)
+            return kernel(graph, *args)
+        return record
+
+    for name in ("max_T_path_packing", "max_odd_T_path_packing", "min_vertex_separator"):
+        monkeypatch.setattr(detect, name, recording(getattr(detect, name)))
+    instances = [(p, planted_ess(p, centers=4, background=3, seed=1))
+                 for p in ("fvs", "oct", "dfvs")]
+    instances.append(("doct", disjoint_union(
+        *(gnp(7, 0.3, seed, directed=True) for seed in range(3)))))
+    for problem, g in instances:
+        largest = _largest_component(g)
+        assert 2 * largest < g.n, problem
+        # The dfvs kernel adds the split vertex; the doct kernel runs on
+        # the label-extended digraph, two copies per vertex.
+        bound = {"dfvs": largest + 1, "doct": 2 * largest}.get(problem, largest)
+        sizes.clear()
+        detect.detector_factory(problem, g)
+        assert sizes and max(sizes) <= bound, (problem, max(sizes, default=None), bound)
