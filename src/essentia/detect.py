@@ -27,7 +27,7 @@ the same steps as on the whole graph) and map the certificates back; each
 kernel call is then sized by its component, not by n.  vc stays whole:
 it is one matching of the double cover, not one kernel per vertex.  cvd
 stays whole too: its avoiding-LP cost is a sum over the whole graph, and
-the hole pool it carries from vertex to vertex fixes its pivot order.
+each pinned LP starts from every hole the earlier ones found.
 
 ``detector_factory`` scores once and sorts the vertices by score, so the
 detector for each k is a binary search plus sorting what it returns.

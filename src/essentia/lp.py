@@ -8,11 +8,14 @@ to zero.  Constraints are generated on demand: solve the pooled LP
 exactly, ask the separation oracle for a violated hole, add it, repeat.
 Each round adds a hole not yet in the pool, so the loop terminates.
 
-The simplex works on an integer tableau (see ``simplex``) and hands back
-exact Fractions.  The oracle scales the current assignment to integers
-over its common denominator and takes the first hole lighter than one
-from ``recognize.light_holes``, the hole search that the branching's
-``shortest_hole`` runs under unit weights.
+One ``simplex.Tableau`` serves a whole avoiding LP.  It holds the dual,
+a fractional packing of pooled holes (weight y_h per hole, every vertex
+u != v loaded at most 1), so each cut is a new column and the simplex
+re-optimises from the last basis.  The solved state carries that packing
+as its certificate: its total equals the cost.  The oracle scales the
+current assignment to integers over its common denominator and takes the
+first hole lighter than one from ``recognize.light_holes``, the hole
+search that the branching's ``shortest_hole`` runs under unit weights.
 
 Upper bounds x_u <= 1 never bind at an optimum of a pure covering
 objective, so the simplex tableau only carries the covering rows; the
@@ -27,7 +30,7 @@ from typing import Sequence
 
 from .graphs import Graph
 from .recognize import light_holes
-from .simplex import simplex_min
+from .simplex import Tableau, simplex_min
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -35,12 +38,14 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class LPState:
-    """Solved avoiding-LP: exact assignment plus the active hole pool."""
+    """Solved avoiding-LP: exact assignment, the active hole pool, and the
+    packing that certifies the cost (one weight per pooled hole)."""
 
     pinned: int
     cost: Fraction
     assignment: tuple[Fraction, ...]
     pool: tuple[tuple[int, ...], ...]
+    packing: tuple[Fraction, ...]
 
 
 def separation_oracle_holes(
@@ -77,7 +82,7 @@ def solve_v_avoiding_lp(
     g: Graph, v: int, pool: Sequence[Sequence[int]] = ()
 ) -> LPState:
     """Minimize total weight over assignments with x_v = 0 satisfying
-    every hole constraint, by cutting planes over an exact simplex.
+    every hole constraint, by cutting planes over one warm exact simplex.
 
     An optional starting pool warms up the constraint set (the detector
     reuses pools across vertices to cut down oracle rounds).
@@ -85,8 +90,10 @@ def solve_v_avoiding_lp(
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
     variables = [u for u in range(g.n) if u != v]
-    col = {u: i for i, u in enumerate(variables)}
+    costs = [1] * len(variables)
+    tableau = Tableau(costs)
     active: list[tuple[int, ...]] = []
+    rows: list[list[int]] = []
     seen: set[frozenset[int]] = set()
     x = [ZERO] * g.n
 
@@ -96,16 +103,10 @@ def solve_v_avoiding_lp(
             raise AssertionError("separation oracle repeated a pooled hole")
         seen.add(key)
         active.append(tuple(hole))
+        rows.append([int(u in key) for u in variables])
 
     def resolve() -> None:
-        rows = []
-        for hole in active:
-            row = [0] * len(variables)
-            for u in hole:
-                if u != v:
-                    row[col[u]] = 1
-            rows.append(row)
-        _, sol = simplex_min([1] * len(variables), rows, [1] * len(active))
+        _, sol = simplex_min(costs, rows, [1] * len(rows), tableau)
         for u, value in zip(variables, sol):
             if not (ZERO <= value <= ONE):
                 raise AssertionError("assignment escaped the unit box")
@@ -117,20 +118,35 @@ def solve_v_avoiding_lp(
     if active:
         resolve()
 
-    while True:
-        hole = separation_oracle_holes(g, x)
-        if hole is None:
-            break
+    while (hole := separation_oracle_holes(g, x)) is not None:
         add_constraint(hole)
         resolve()
     cost = sum(x, ZERO)
-    return LPState(v, cost, tuple(x), tuple(active))
+    packing = tuple(tableau.dual())
+    _assert_packing(g.n, v, active, packing, cost)
+    return LPState(v, cost, tuple(x), tuple(active), packing)
+
+
+def _assert_packing(n: int, v: int, pool, packing, cost: Fraction) -> None:
+    """The packing certifies the cost: y >= 0, every vertex other than v
+    loaded at most 1, and the total equal to the cost (in integers over
+    the weights' common denominator L)."""
+    scale = lcm(*[y.denominator for y in packing])
+    w = [y.numerator * (scale // y.denominator) for y in packing]
+    load = [0] * n
+    for hole, wy in zip(pool, w):
+        for u in hole if wy else ():
+            load[u] += wy
+    load[v] = 0
+    if min(w, default=0) < 0 or max(load, default=0) > scale \
+            or Fraction(sum(w), scale) != cost:
+        raise AssertionError("packing does not certify the cost")
 
 
 def lp_dump_text(state: LPState) -> str:
     """Human-readable pooled LP, one constraint per line."""
     lines = [f"min sum x_u  with x_{state.pinned} = 0"]
-    for hole in state.pool:
-        lines.append("hole " + " ".join(str(u) for u in hole) + " >= 1")
+    for hole, y in zip(state.pool, state.packing):
+        lines.append("hole " + " ".join(str(u) for u in hole) + f" >= 1  y = {y}")
     lines.append(f"cost {state.cost}")
     return "\n".join(lines) + "\n"

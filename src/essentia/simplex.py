@@ -1,32 +1,34 @@
 """Exact linear programming over rationals, on integers.
 
-Dense two-phase tableau simplex with Bland's anti-cycling rule: the
-entering column is the smallest index with negative reduced cost, the
-leaving row breaks ratio ties by smallest basic variable index.
+``simplex_min`` minimizes c . x subject to A x >= b, x >= 0, for costs
+c >= 0, by the primal simplex on its dual, max b . y subject to
+A^T y <= c, y >= 0.  The slack basis y = 0 is feasible, so there is no
+phase 1; the dual is unbounded (the primal infeasible) or optimal, and
+then x is read off the slacks' reduced costs and b . y = c . x certifies
+it.  The tableau has a row per primal variable and a column per
+constraint, so a caller that keeps its ``Tableau`` appends each cut as a
+column and re-optimises from the last basis; a cold solve starts from
+no columns.  Pivots follow Bland's rule: the entering column is the
+smallest index with negative reduced cost, the leaving row breaks ratio
+ties by smallest basic variable index.
 
-The tableau is fraction-free (Edmonds; Bareiss).  Each constraint row is
-scaled to integers on entry, and the rational tableau T is stored as the
-integer matrix M = D * T, where D > 0 is the absolute determinant of the
-current basis of the scaled constraint matrix (the product of the row
-scales at the start).  A pivot on p = M[r][c] keeps row r and maps every
-other row i to (p * M[i] - M[i][c] * M[r]) / D, a division that is
-always exact by Cramer's rule; D becomes |p|, with all rows negated when
-p < 0.  The reduced-cost row is kept the same way.  Signs of T entries
-are signs of M entries, and ratios compare by cross-multiplication, so
-every pivot is the one the rational tableau would make.  Fractions are
-built only for the returned optimum, which is exact.  Problem sizes here
-are tiny (tens of rows), so the dense tableau is the simple, right-sized
-choice.
+The tableau is fraction-free (Edmonds; Bareiss).  Costs and constraints
+are scaled to integers on entry, and the rational tableau T is stored as
+M = D * T, where D > 0 is the absolute determinant of the current basis.
+A pivot on p = M[r][c] keeps row r and maps every other row i to
+(p * M[i] - M[i][c] * M[r]) / D, a division that is always exact by
+Cramer's rule; D becomes |p|, with all rows negated when p < 0.  The
+slack columns of M hold D * B^-1, so a new column is those columns
+applied to its constraint.  Signs and ratios of T entries are read off M
+by cross-multiplication, so every pivot is the one the rational tableau
+would make, and the returned Fractions are exact.  Problems here are
+tiny (tens of rows), so the dense tableau is the right-sized choice.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import Sequence
-
-
-class Unbounded(ValueError):
-    pass
 
 
 class Infeasible(ValueError):
@@ -59,13 +61,14 @@ def _pivot(tab: list[list[int]], row: int, col: int, d: int) -> int:
     return p
 
 
-def _optimize(tab: list[list[int]], basis: list[int], allowed: int, d: int) -> int:
-    """Run Bland pivots to optimality on the rows of tab, whose last row
-    holds the reduced costs; columns >= allowed never enter.  Returns D."""
+def _optimize(tab: list[list[int]], basis: list[int], d: int) -> int:
+    """Run Bland pivots to optimality on the rows of tab, whose column 0
+    holds the right-hand sides and whose last row holds the reduced
+    costs.  Returns D."""
     m = len(basis)
     while True:
         z = tab[m]
-        entering = next((j for j in range(allowed) if z[j] < 0), -1)
+        entering = next((j for j in range(1, len(z)) if z[j] < 0), -1)
         if entering < 0:
             return d
         leave = -1
@@ -75,95 +78,76 @@ def _optimize(tab: list[list[int]], basis: list[int], allowed: int, d: int) -> i
                 if leave < 0:
                     leave = i
                     continue
-                lhs = tab[i][-1] * tab[leave][entering]
-                rhs = tab[leave][-1] * coef
+                lhs = tab[i][0] * tab[leave][entering]
+                rhs = tab[leave][0] * coef
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
-            raise Unbounded("no leaving row for entering column")
+            raise Infeasible("the dual is unbounded")
         d = _pivot(tab, leave, entering, d)
         basis[leave] = entering
 
 
-def _reduced_costs(
-    tab: list[list[int]], basis: list[int], cost: Sequence[int], d: int
-) -> list[int]:
-    """D * (cost - cost_B . T) for integer costs, as one more tableau row."""
-    z = [d * cj for cj in cost] + [0]
-    for i, bv in enumerate(basis):
-        cb = cost[bv]
-        if cb:
-            z = [a - cb * b for a, b in zip(z, tab[i])]
-    return z
+class Tableau:
+    """The dual tableau of min c . x, A x >= b, x >= 0, kept between
+    solves.  Column 0 holds the right-hand sides, columns 1..nx the slacks
+    of A^T y <= c, then one column per constraint in the order added; the
+    last row holds the reduced costs.  After ``Infeasible`` it is spent."""
+
+    def __init__(self, costs: Sequence) -> None:
+        c, self.scale = _integers(costs)
+        if any(cu < 0 for cu in c):
+            raise ValueError("costs must be non-negative")
+        nx = len(c)
+        self.tab = [[cu] + [0] * u + [1] + [0] * (nx - u - 1) for u, cu in enumerate(c)]
+        self.tab.append([0] * (nx + 1))
+        self.basis = list(range(1, nx + 1))
+        self.d = 1
+        self.row_scales: list[int] = []  # one per constraint added
+        self.columns = 0
+
+    def add(self, row: Sequence, b) -> None:
+        """Append the constraint row . x >= b as a column."""
+        line, s = _integers([*row, b])
+        b = line.pop()
+        a = [(u + 1, au) for u, au in enumerate(line) if au]
+        for tr in self.tab:
+            tr.append(sum(tr[j] * au for j, au in a))
+        self.tab[-1][-1] -= self.d * b
+        self.row_scales.append(s)
+        self.columns += 1
+
+    def dual(self) -> list[Fraction]:
+        """y per constraint, in the order added, on the unscaled rows."""
+        nx = len(self.basis)
+        y = [Fraction(0)] * self.columns
+        for i, bv in enumerate(self.basis):
+            if bv > nx:
+                j = bv - nx - 1
+                y[j] = Fraction(self.row_scales[j] * self.tab[i][0], self.d * self.scale)
+        return y
 
 
 def simplex_min(
     costs: Sequence,
     rows: Sequence[Sequence],
     rhs: Sequence,
+    tableau: Tableau | None = None,
 ) -> tuple[Fraction, list[Fraction]]:
     """Minimize costs . x subject to rows[i] . x >= rhs[i] and x >= 0.
 
-    Entries may be ints, Fractions or anything Fraction() accepts.
-    Returns (optimal value, optimal x).  Raises Infeasible or Unbounded.
+    Entries may be ints, Fractions or anything Fraction() accepts; costs
+    must be non-negative (ValueError otherwise).  A caller-held tableau
+    built from the same costs already holds rows[:tableau.columns]; the
+    rest are appended and the solve starts from its last basis.  Returns
+    (optimal value, optimal x); ``tableau.dual()`` then gives the dual
+    certificate.  Raises Infeasible.
     """
-    nx = len(costs)
-    m = len(rows)
-    c, c_scale = _integers(costs)
-    if m == 0:
-        if any(v < 0 for v in c):
-            raise Unbounded("negative cost with no constraints")
-        return Fraction(0), [Fraction(0)] * nx
-
-    # Standard form: row . x - s = b, with the row negated when b < 0 so
-    # every right-hand side is non-negative; artificials where the
-    # surplus cannot start basic.  Row i is scaled by s_i to integers, so
-    # the starting basis is diag(s_i) and M = D * T needs row i times
-    # D / s_i.
-    scaled = [_integers([*row, b]) for row, b in zip(rows, rhs)]
-    n_art = sum(1 for line, _ in scaled if line[-1] > 0)
-    width = nx + m + n_art
-    d = prod(s for _, s in scaled)
-    tab: list[list[int]] = []
-    basis: list[int] = []
-    art_col = nx + m
-    for i, (line, s) in enumerate(scaled):
-        b = line.pop()
-        line += [0] * (m + n_art) + [b]
-        line[nx + i] = -s
-        if b > 0:
-            line[art_col] = s
-            basis.append(art_col)
-            art_col += 1
-        else:
-            line = [-v for v in line]
-            basis.append(nx + i)
-        if d != s:
-            line = [(d // s) * v for v in line]
-        tab.append(line)
-
-    if n_art:
-        tab.append(_reduced_costs(tab, basis, [0] * (nx + m) + [1] * n_art, d))
-        d = _optimize(tab, basis, width, d)
-        tab.pop()
-        if any(tab[i][-1] for i in range(len(basis)) if basis[i] >= nx + m):
-            raise Infeasible("phase 1 ended with positive artificial mass")
-        # Drive leftover artificials (at level zero) out of the basis.  The
-        # surplus columns give [rows | -I] full row rank, so no tableau row
-        # vanishes on the non-artificial columns and no row is redundant.
-        for i in range(len(basis)):
-            if basis[i] >= nx + m:
-                col = next((j for j in range(nx + m) if tab[i][j]), None)
-                if col is None:
-                    raise AssertionError("tableau row vanished off the artificials")
-                d = _pivot(tab, i, col, d)
-                basis[i] = col
-
-    tab.append(_reduced_costs(tab, basis, c + [0] * (width - nx), d))
-    d = _optimize(tab, basis, nx + m, d)
-    x = [Fraction(0)] * nx
-    for i, bv in enumerate(basis):
-        if bv < nx:
-            x[bv] = Fraction(tab[i][-1], d)
-    num = sum(c[bv] * tab[i][-1] for i, bv in enumerate(basis) if bv < nx)
-    return Fraction(num, d * c_scale), x
+    if tableau is None:
+        tableau = Tableau(costs)
+    for i in range(tableau.columns, len(rows)):
+        tableau.add(rows[i], rhs[i])
+    tableau.d = d = _optimize(tableau.tab, tableau.basis, tableau.d)
+    z = tableau.tab[-1]  # x_u is slack u's reduced cost over D
+    x = [Fraction(zu, d) for zu in z[1:len(tableau.basis) + 1]]
+    return Fraction(z[0], d * tableau.scale), x

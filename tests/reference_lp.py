@@ -1,8 +1,11 @@
 """Test-only references for the exact LP layer, in plain Fraction
-arithmetic: a dense two-phase Bland simplex and the per-pair Dijkstra
-hole oracle.  The integer code in ``essentia.simplex`` and
-``essentia.lp`` must reproduce their outputs exactly (same optimum, same
-vertex, same hole), so these stay here as the slow, obviously-correct
+arithmetic: a dense, cold two-phase Bland simplex on the primal, the
+per-pair Dijkstra hole oracle, and the cutting-plane loop over the two.
+The integer code in ``essentia.simplex`` and ``essentia.lp`` must
+reproduce their outputs exactly: the same optimum (or the same
+infeasibility), the same hole, and the same avoiding-LP cost.  Which
+optimal vertex comes back may differ, since the integer code solves the
+dual from a warm basis.  These stay here as the slow, obviously-correct
 statement of that behaviour.  Nothing under ``src/`` imports this module.
 """
 from __future__ import annotations
@@ -12,7 +15,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from essentia.graphs import Graph
-from essentia.simplex import Infeasible, Unbounded
+from essentia.simplex import Infeasible
+
+
+class Unbounded(ValueError):
+    pass
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
@@ -182,3 +189,17 @@ def separation_oracle_pairwise(
                 if w + weights[u] < one:
                     return tuple([u] + path)
     return None
+
+
+def avoiding_lp_cost_reference(g: Graph, v: int) -> Fraction:
+    """Cost of the v-avoiding hole-covering LP: cold re-solves of the
+    pooled primal, one oracle cut at a time, until no hole is light."""
+    variables = [u for u in range(g.n) if u != v]
+    rows: list[list[int]] = []
+    x = [Fraction(0)] * g.n
+    while (hole := separation_oracle_pairwise(g, x)) is not None:
+        rows.append([int(u in hole) for u in variables])
+        _, sol = simplex_min_fraction([1] * len(variables), rows, [1] * len(rows))
+        for u, value in zip(variables, sol):
+            x[u] = value
+    return sum(x, Fraction(0))

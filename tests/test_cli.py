@@ -68,6 +68,22 @@ def test_detect_fvs_friendship(capsys, friendship_file):
     assert cert["type"] == "flower" and len(cert["petals"]) == 3
 
 
+def test_detect_cvd_dump_lp(capsys, tmp_path):
+    path = tmp_path / "cvd3.gr"
+    path.write_text(serialize_graph(planted_flower("cvd", 3)))
+    code, out, err = run(capsys, ["detect", "--problem", "cvd", "--k", "2",
+                                  "--input", str(path), "--dump-lp"])
+    assert code == 0
+    assert "S = [0]" in out and '"pool_size": 3' in out
+    # The center's LP: one line per petal with its packing weight, whose
+    # total is the cost.
+    lines = err.splitlines()
+    assert lines[0] == "min sum x_u  with x_0 = 0" and lines[-1] == "cost 3"
+    holes = sorted(sorted(map(int, line.split()[1:5])) for line in lines[1:-1])
+    assert holes == [[0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 9]]
+    assert all(line.endswith(" >= 1  y = 1") for line in lines[1:-1])
+
+
 def test_detect_human_output(capsys, c5_file):
     code, out, _ = run(capsys, ["detect", "--problem", "oct", "--k", "1",
                                 "--input", c5_file])

@@ -1,10 +1,12 @@
 """The integer LP layer reproduces its Fraction references exactly.
 
-``simplex_min`` must return the same optimum and the same vertex (or
-raise the same exception) as the dense Fraction tableau, and
+``simplex_min`` must return the same optimum (or raise ``Infeasible``
+where the dense Fraction tableau does), with an exactly feasible x and an
+exact dual certificate y, cold and when the rows arrive one at a time on
+one tableau.  It may return another optimal vertex than the reference.
 ``separation_oracle_holes`` must return the same hole as one Dijkstra per
-neighbour pair: which hole comes back decides the cut order and so every
-later LP.  The references live in ``reference_lp.py``.
+neighbour pair, and an avoiding LP the same cost as the reference's
+cutting-plane loop.  The references live in ``reference_lp.py``.
 """
 from __future__ import annotations
 
@@ -18,13 +20,22 @@ from hypothesis import strategies as st
 import essentia.lp as lp
 from conftest import random_graph
 from essentia.graphs import Graph
-from essentia.simplex import Infeasible, Unbounded, simplex_min
-from reference_lp import separation_oracle_pairwise, simplex_min_fraction
+from essentia.simplex import Infeasible, Tableau, simplex_min
+from reference_lp import (
+    avoiding_lp_cost_reference,
+    separation_oracle_pairwise,
+    simplex_min_fraction,
+)
 
 COEF = st.one_of(
     st.just(0),
     st.integers(-2, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+COST = st.one_of(
+    st.just(0),
+    st.integers(0, 3),
+    st.fractions(min_value=0, max_value=3, max_denominator=6),
 )
 
 
@@ -44,7 +55,7 @@ def lps(draw):
             f = draw(st.sampled_from([1, 2, Fraction(1, 2)]))
             rows.append([x + f * y for x, y in zip(rows[a], rows[b])])
             rhs.append(rhs[a] + f * rhs[b])
-    costs = draw(st.lists(COEF, min_size=nx, max_size=nx))
+    costs = draw(st.lists(COST, min_size=nx, max_size=nx))
     return costs, rows, rhs
 
 
@@ -60,37 +71,79 @@ def covering_lps(draw):
 def outcome(fn, costs, rows, rhs):
     try:
         return fn(costs, rows, rhs)
-    except (Infeasible, Unbounded) as exc:
-        return type(exc)
+    except Infeasible:
+        return Infeasible
 
 
-def check_same(lp_args):
-    got = outcome(simplex_min, *lp_args)
-    assert got == outcome(simplex_min_fraction, *lp_args)
-    if isinstance(got, tuple):
+def assert_certified(costs, rows, rhs, value, x, y):
+    """x is feasible, y is dual feasible, and their values meet: both are
+    exactly optimal."""
+    assert type(value) is Fraction and all(type(v) is Fraction for v in x + y)
+    assert len(x) == len(costs) and len(y) == len(rows)
+    assert min(x + y, default=0) >= 0
+    for row, b in zip(rows, rhs):
+        assert sum(a * xi for a, xi in zip(row, x)) >= b
+    for j, c in enumerate(costs):
+        assert sum(row[j] * yi for row, yi in zip(rows, y)) <= c
+    assert sum(c * xi for c, xi in zip(costs, x)) == value
+    assert sum(b * yi for b, yi in zip(rhs, y)) == value
+
+
+def check_certified(lp_args):
+    costs, rows, rhs = lp_args
+    if any(c < 0 for c in costs):
+        # The dual's slack basis needs costs >= 0; no caller passes others.
+        with pytest.raises(ValueError) as err:
+            simplex_min(costs, rows, rhs)
+        assert type(err.value) is ValueError
+        return
+    ref = outcome(simplex_min_fraction, costs, rows, rhs)
+    cold = Tableau(costs)
+    got = outcome(lambda *args: simplex_min(*args, cold), costs, rows, rhs)
+    if ref is Infeasible:
+        assert got is Infeasible
+    else:
         value, x = got
-        assert type(value) is Fraction and all(type(v) is Fraction for v in x)
+        assert value == ref[0]
+        assert_certified(costs, rows, rhs, value, x, cold.dual())
+    # The same rows, one cut at a time on one tableau.
+    warm = Tableau(costs)
+    for k in range(len(rows) + 1):
+        try:
+            value, x = simplex_min(costs, rows[:k], rhs[:k], warm)
+        except Infeasible:
+            assert ref is Infeasible
+            return
+        assert_certified(costs, rows[:k], rhs[:k], value, x, warm.dual())
+    assert ref is not Infeasible and value == ref[0]
 
 
 @given(lps())
 @settings(max_examples=500, deadline=None)
-# Degenerate optima that leave an artificial basic at level zero, so the
-# phase-1 drive-out pivot runs (once with unit, once with rational rows).
+# Degenerate optima at zero cost with a tight row pair (once with unit,
+# once with rational rows).
 @example(([0], [[-1], [2]], [-1, 2]))
 @example(([0], [[Fraction(-1, 2)], [Fraction(2, 3)]], [Fraction(-1, 2), Fraction(2, 3)]))
-# Duplicate rows, an infeasible one, an unbounded one, zero and negative rhs.
+# Duplicate rows, an infeasible one, a negative cost, zero and negative rhs.
 @example(([1, 1], [[1, 1], [1, 1], [2, 2]], [1, 1, 2]))
 @example(([1], [[0]], [1]))
 @example(([-1, 1], [[1, 0]], [0]))
 @example(([1], [[-1], [1]], [-5, 3]))
 def test_simplex_matches_fraction_reference(lp_args):
-    check_same(lp_args)
+    check_certified(lp_args)
 
 
 @given(covering_lps())
 @settings(max_examples=300, deadline=None)
 def test_covering_simplex_matches_fraction_reference(lp_args):
-    check_same(lp_args)
+    check_certified(lp_args)
+
+
+@pytest.mark.parametrize("costs", [[-1], [1, Fraction(-1, 2)], [0, -3, 2]])
+def test_simplex_rejects_negative_costs(costs):
+    with pytest.raises(ValueError) as err:
+        simplex_min(costs, [[1] * len(costs)], [1])
+    assert type(err.value) is ValueError
 
 
 @st.composite
@@ -129,13 +182,10 @@ def test_oracle_reference_finds_holes():
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_avoiding_lp_matches_reference_run(seed, monkeypatch):
-    # The whole cutting-plane loop, run on the integer code and on the
-    # references, yields the same pool in the same order.
+def test_avoiding_lp_matches_reference_run(seed):
+    # The whole cutting-plane loop, run on the warm integer code and as
+    # cold Fraction re-solves with the pairwise oracle, yields the same cost.
     rng = random.Random(40_000 + seed)
     g = random_graph(rng, rng.randint(5, 9), rng.choice([0.3, 0.45]))
     v = rng.randrange(g.n)
-    fast = lp.solve_v_avoiding_lp(g, v)
-    monkeypatch.setattr(lp, "simplex_min", simplex_min_fraction)
-    monkeypatch.setattr(lp, "separation_oracle_holes", separation_oracle_pairwise)
-    assert lp.solve_v_avoiding_lp(g, v) == fast
+    assert lp.solve_v_avoiding_lp(g, v).cost == avoiding_lp_cost_reference(g, v)

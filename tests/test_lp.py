@@ -9,7 +9,8 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import cycle_graph, path_graph, random_graph
-from essentia.detect import detect
+from essentia.detect import _cvd_scores, detect
+from essentia.generate import gnp, planted_flower
 from essentia.graphs import Graph
 from essentia.lp import (
     lp_dump_text,
@@ -101,7 +102,9 @@ def test_avoiding_lp_named():
 def test_avoiding_lp_pins_vertex():
     state = solve_v_avoiding_lp(cycle_graph(4), 1)
     assert state.assignment[1] == 0
-    assert "x_1 = 0" in lp_dump_text(state)
+    assert state.packing == (1,)
+    assert lp_dump_text(state) == (
+        "min sum x_u  with x_1 = 0\nhole 0 1 2 3 >= 1  y = 1\ncost 1\n")
 
 
 @pytest.mark.parametrize("seed", range(120))
@@ -214,3 +217,48 @@ def test_cvd_factory_pool_reuse_matches_fresh(seed):
         chosen = factory(k).vertices
         fresh = {v for v in range(g.n) if solve_v_avoiding_lp(g, v).cost > k}
         assert chosen == fresh
+
+
+def assert_lp_certified(g: Graph, state) -> None:
+    """The packing is a dual certificate for the cost, the oracle finds no
+    light hole, and HiGHS agrees on the final pooled rows."""
+    v = state.pinned
+    assert len(state.packing) == len(state.pool)
+    assert min(state.packing, default=ZERO) >= 0
+    load = [ZERO] * g.n
+    for hole, y in zip(state.pool, state.packing):
+        for u in hole:
+            load[u] += y
+    assert all(load[u] <= 1 for u in range(g.n) if u != v)
+    assert sum(state.packing, ZERO) == state.cost == sum(state.assignment, ZERO)
+    assert state.assignment[v] == 0
+    assert separation_oracle_holes(g, list(state.assignment)) is None
+    variables = [u for u in range(g.n) if u != v]
+    rows = [[int(u in hole) for u in variables] for hole in state.pool]
+    ref = linprog(
+        [1] * len(variables),
+        A_ub=[[-a for a in row] for row in rows] or None,
+        b_ub=[-1] * len(rows) or None,
+        bounds=[(0, 1)] * len(variables),
+        method="highs",
+    )
+    assert ref.status == 0
+    assert abs(float(state.cost) - ref.fun) < 1e-7
+
+
+def test_lp_certified_beyond_oracle_scale():
+    # gnp(20-24, 0.3): the detector's carried pool at n = 20, cold solves
+    # for two pinned vertices above; then a 13-petal hole flower (n = 40),
+    # whose center costs one unit per petal and every other vertex one.
+    g = gnp(20, 0.3, 20)
+    for _, state in _cvd_scores(g):
+        assert_lp_certified(g, state)
+    for n in range(21, 25):
+        g = gnp(n, 0.3, n)
+        for v in (0, n - 1):
+            assert_lp_certified(g, solve_v_avoiding_lp(g, v))
+    g = planted_flower("cvd", 13)
+    scores = _cvd_scores(g)
+    for _, state in scores:
+        assert_lp_certified(g, state)
+    assert [cost for cost, _ in scores] == [13] + [1] * 39
