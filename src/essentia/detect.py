@@ -135,24 +135,11 @@ def flower_number_oct(g: Graph, v: int) -> tuple[int, FlowerCertificate]:
 
 
 def flower_number_dfvs(d: Digraph, v: int) -> tuple[int, FlowerCertificate]:
-    """Maximum number of directed cycles pairwise meeting only at v:
-    split v into an out-part (fresh vertex) and an in-part and take the
-    Menger system between them."""
-    out_part = d.n  # v keeps its id and plays the in-part
-    arcs = []
-    for u, w in d.arcs():
-        if u == v:
-            arcs.append((out_part, w))
-        elif w == v:
-            arcs.append((u, v))
-        else:
-            arcs.append((u, w))
-    split = Digraph(d.n + 1, arcs)
-    res = min_vertex_separator(split, out_part, v)
-    petals = tuple(
-        _shorten([v] + list(p[1:-1]), d.has_arc) for p in res.paths
-    )
-    return len(res.paths), FlowerCertificate(v, petals)
+    """Maximum number of directed cycles pairwise meeting only at v: the
+    Menger system from v back to v."""
+    res = min_vertex_separator(d, v, v)
+    petals = tuple(_shorten(list(p[:-1]), d.has_arc) for p in res.paths)
+    return res.size, FlowerCertificate(v, petals)
 
 
 def vc_lp_halfintegral(g: Graph) -> list[Fraction]:

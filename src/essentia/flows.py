@@ -5,7 +5,9 @@ w_in -> w_out with capacity one; arcs get effectively infinite capacity.
 Max-flow / min-cut then gives a separator whose size equals the number
 of internally vertex-disjoint paths returned (Menger equality), verified
 on construction.  The minimum cut is read off the last, failed
-augmenting search: the vertices it reached are the source side.
+augmenting search: the vertices it reached are the source side.  The
+flow runs from s_out to t_in, so for s == t it packs directed cycles
+through s that meet only at s, and the separator meets every such cycle.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ class SeparatorUndefined(ValueError):
 @dataclass(frozen=True)
 class SeparatorResult:
     separator: frozenset[int]
-    paths: tuple[tuple[int, ...], ...]  # s..t vertex sequences
+    paths: tuple[tuple[int, ...], ...]  # s..t vertex sequences (s..s cycles)
 
     @property
     def size(self) -> int:
@@ -55,9 +57,8 @@ def _bfs_augment(cap: list[dict[int, int]], s: int, t: int) -> dict[int, int]:
 
 def min_vertex_separator(d: Digraph, s: int, t: int) -> SeparatorResult:
     """Minimum s-t vertex separator (excluding s, t) plus a maximum system
-    of internally vertex-disjoint s->t paths of the same cardinality."""
-    if s == t:
-        raise ValueError("source and sink must differ")
+    of internally vertex-disjoint s->t paths of the same cardinality;
+    for s == t the paths are directed cycles s..s through s."""
     if d.has_arc(s, t):
         raise SeparatorUndefined(f"arc ({s}, {t}) present: separator undefined")
     n = d.n
@@ -120,7 +121,7 @@ def _verify(d: Digraph, s: int, t: int, result: SeparatorResult) -> None:
         raise AssertionError("separator contains a terminal")
     if len(sep) != len(result.paths):
         raise AssertionError("Menger equality violated")
-    seen_internal: set[int] = set()
+    seen_internal = {s, t}  # no path passes through a terminal
     for path in result.paths:
         if path[0] != s or path[-1] != t:
             raise AssertionError("path endpoints wrong")
@@ -131,8 +132,8 @@ def _verify(d: Digraph, s: int, t: int, result: SeparatorResult) -> None:
         if len(internal) != len(path) - 2 or internal & seen_internal:
             raise AssertionError("paths not internally vertex-disjoint")
         seen_internal |= internal
-    # The separator must disconnect s from t.
-    reach = {s}
+    # The separator must disconnect s from t (for s == t: s from itself).
+    reach: set[int] = set()
     queue = deque([s])
     while queue:
         u = queue.popleft()

@@ -300,7 +300,7 @@ def brute_essential(
         k, sols = _component_optima(problem, m, comp, caps.essential_component)
         comp_data.append((comp, k, sols))
         opt += k
-    bound = floor(c * opt)
+    bound = floor(min(c * opt, g.n))  # no solution exceeds n; c * opt may be inf
     essential = set()
     for comp, comp_opt, sols in comp_data:
         # Essential vertices lie in every optimal solution; intersect

@@ -34,7 +34,8 @@ def _cycle_from_walk(walk: Sequence[int], odd: bool) -> list[int]:
 
     Scans with a stack, splitting off a simple cycle whenever a vertex
     repeats; the walk's edges decompose exactly into the extracted
-    cycles, so an odd walk always yields an odd cycle.
+    cycles, so an odd walk always yields an odd cycle.  With odd unset
+    the first repeat closes the cycle, so the walk need not be closed.
     """
     stack: list[int] = []
     pos: dict[int, int] = {}
@@ -131,16 +132,12 @@ def is_acyclic_directed(d: Digraph) -> tuple[bool, list[int] | None]:
     if len(order) == d.n:
         return True, order
     # Every vertex with remaining in-degree has a predecessor among them;
-    # walking predecessors must repeat, closing a directed cycle.
+    # len(leftovers) predecessor steps must repeat one, closing a cycle.
     leftovers = {v for v in range(d.n) if indeg[v] > 0}
-    v = min(leftovers)
-    seen: dict[int, int] = {}
-    walk = []
-    while v not in seen:
-        seen[v] = len(walk)
-        walk.append(v)
-        v = min(u for u in d.predecessors(v) if u in leftovers)
-    cycle = walk[seen[v]:]
+    walk = [min(leftovers)]
+    for _ in leftovers:
+        walk.append(min(u for u in d.predecessors(walk[-1]) if u in leftovers))
+    cycle = _cycle_from_walk(walk, odd=False)
     cycle.reverse()  # the predecessor walk runs against the arcs
     return False, cycle
 

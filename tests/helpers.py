@@ -1,11 +1,13 @@
 """Helpers only the tests use: a flower-certificate check, the dual odd
-T-path cover on bipartite graphs, and matchings as edge sets.  The
+T-path cover on bipartite graphs, matchings as edge sets, and the
+split-digraph reference for the Menger system from v back to v.  The
 package never imports this module."""
 from __future__ import annotations
 
 from typing import Iterable
 
 from essentia.detect import FlowerCertificate
+from essentia.flows import SeparatorResult, min_vertex_separator
 from essentia.graphs import Digraph, Graph
 from essentia.matching import max_matching_adj, min_vertex_cover_bipartite
 from essentia.problems import PROBLEMS
@@ -74,3 +76,12 @@ def max_matching(g: Graph) -> set[tuple[int, int]]:
     """Maximum-cardinality matching as a set of (u, v) pairs with u < v."""
     mate = max_matching_adj(g.adjacency)
     return {(v, mate[v]) for v in range(g.n) if mate[v] > v}
+
+
+def split_cycle_separator(d: Digraph, v: int) -> SeparatorResult:
+    """Reference for ``min_vertex_separator(d, v, v)``: a fresh vertex n
+    takes over v's out-arcs, v keeps its in-arcs, and each n..v path of
+    the Menger system between them is mapped back to a cycle v..v."""
+    arcs = [(d.n if u == v else u, w) for u, w in d.arcs()]
+    res = min_vertex_separator(Digraph(d.n + 1, arcs), d.n, v)
+    return SeparatorResult(res.separator, tuple((v, *p[1:]) for p in res.paths))

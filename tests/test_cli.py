@@ -147,6 +147,16 @@ def test_verify_small_pass(capsys):
     assert report["result"]["checked"] > 0
 
 
+def test_verify_huge_c(capsys):
+    # c * opt overflows to infinity; no deletion set has more than n
+    # vertices, so the budget is capped at n instead of crashing.
+    code, out, err = run(capsys, ["verify", "--problem", "fvs", "--c", "1e308",
+                                  "--trials", "2", "--max-n", "7",
+                                  "--densities", "0.6", "--json"])
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["result"]["checked"] > 0
+
+
 def test_verify_zero_trials_vacuous(capsys):
     code, out, _ = run(capsys, ["verify", "--problem", "vc", "--trials", "0"])
     assert code == 0

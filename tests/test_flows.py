@@ -5,11 +5,15 @@ import random
 from collections import deque
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from conftest import random_digraph, random_graph
-from essentia.flows import SeparatorUndefined, min_vertex_separator
+from essentia.detect import _shorten, flower_number_dfvs
+from essentia.flows import SeparatorResult, SeparatorUndefined, _verify, min_vertex_separator
+from essentia.generate import gnp
 from essentia.graphs import Digraph
+from helpers import split_cycle_separator
 
 
 def reachable(d: Digraph, s: int, removed: set[int]) -> set[int]:
@@ -30,7 +34,11 @@ def brute_min_separator(d: Digraph, s: int, t: int) -> int:
     others = [v for v in range(d.n) if v not in (s, t)]
     for k in range(len(others) + 1):
         for sub in combinations(others, k):
-            if t not in reachable(d, s, set(sub)):
+            if s == t:  # every cycle through s meets sub
+                back = set().union(*(reachable(d, w, set(sub)) for w in d.successors(s)))
+                if s not in back:
+                    return k
+            elif t not in reachable(d, s, set(sub)):
                 return k
     raise AssertionError("arc (s,t) present")
 
@@ -56,6 +64,24 @@ def test_no_path_at_all():
     assert res.paths == ()
 
 
+def test_cycles_through_source():
+    # Two triangles and a 2-cycle through 0; the 2-cycle and one triangle
+    # share vertex 3, so only two cycles meet pairwise at 0 alone.
+    d = Digraph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 0), (3, 4), (4, 0), (5, 0)])
+    res = min_vertex_separator(d, 0, 0)
+    assert res.separator == frozenset({1, 3})
+    assert res.paths == ((0, 1, 2, 0), (0, 3, 0))
+    assert min_vertex_separator(Digraph(3, [(0, 1), (1, 2)]), 1, 1).paths == ()
+
+
+def test_verify_rejects_terminal_inside_path():
+    # Two cycles glued at 0 are one closed walk, not a cycle through 0.
+    d = Digraph(3, [(0, 1), (1, 0), (0, 2), (2, 0)])
+    walk = SeparatorResult(frozenset({1}), ((0, 1, 0, 2, 0),))
+    with pytest.raises(AssertionError, match="disjoint"):
+        _verify(d, 0, 0, walk)
+
+
 def test_direct_arc_rejected():
     with pytest.raises(SeparatorUndefined):
         min_vertex_separator(Digraph(2, [(0, 1)]), 0, 1)
@@ -67,6 +93,7 @@ def test_random_vs_brute(seed):
     n = rng.randint(2, 8)
     d = random_digraph(rng, n, rng.choice([0.2, 0.35, 0.5]))
     s, t = rng.sample(range(n), 2)
+    assert min_vertex_separator(d, s, s).size == brute_min_separator(d, s, s)
     if d.has_arc(s, t):
         with pytest.raises(SeparatorUndefined):
             min_vertex_separator(d, s, t)
@@ -92,3 +119,31 @@ def test_undirected_variant(seed):
         return
     res = min_vertex_separator(d, s, t)
     assert res.size == brute_min_separator(d, s, t)
+
+
+# Beyond brute force: networkx for s != t, the split-digraph reference
+# for s == t, on n = 20..200.
+DIFFERENTIAL = [(n, seed) for n in (20, 50, 100, 200) for seed in range(3)]
+
+
+@pytest.mark.parametrize("n,seed", DIFFERENTIAL)
+def test_separator_vs_networkx(n, seed):
+    d = gnp(n, 3.0 / n, seed, directed=True)
+    h = nx.DiGraph(d.arcs())
+    h.add_nodes_from(range(n))
+    rng = random.Random(seed)
+    for s, t in (rng.sample(range(n), 2) for _ in range(6)):
+        # networkx returns an empty cut whenever t -> s is an arc too.
+        if d.has_arc(s, t) or d.has_arc(t, s):
+            continue
+        assert min_vertex_separator(d, s, t).size == len(nx.minimum_node_cut(h, s, t))
+
+
+@pytest.mark.parametrize("n,seed", DIFFERENTIAL)
+def test_cycles_vs_split_reference(n, seed):
+    d = gnp(n, 3.0 / n, seed, directed=True)
+    for v in random.Random(seed).sample(range(n), 6):
+        res, ref = min_vertex_separator(d, v, v), split_cycle_separator(d, v)
+        assert (res.size, res.paths) == (ref.size, ref.paths)
+        petals = tuple(_shorten(list(p[:-1]), d.has_arc) for p in ref.paths)
+        assert flower_number_dfvs(d, v)[1].petals == petals

@@ -52,6 +52,16 @@ def test_brute_essential_named():
     assert brute_essential("fvs", fr3, 2) == {0}
 
 
+def test_brute_essential_huge_c():
+    # At c = 1e308, c * opt overflows to infinity; any c with
+    # c * opt >= n gives the same budget, so the sets agree.
+    rng = random.Random(5)
+    for _ in range(10):
+        g = random_graph(rng, rng.randint(3, 7), 0.6)
+        for problem in ("vc", "fvs", "oct"):
+            assert brute_essential(problem, g, 1e308) == brute_essential(problem, g, g.n)
+
+
 def test_essential_subset_of_every_optimum():
     rng = random.Random(11)
     for _ in range(30):

@@ -139,6 +139,26 @@ def test_acyclic_random(seed):
         assert all(pos[u] < pos[v] for u, v in d.arcs())
 
 
+@pytest.mark.parametrize("n,seed", [(n, s) for n in (20, 50, 100, 200) for s in range(3)])
+def test_acyclic_vs_networkx(n, seed):
+    # Mean degree around one, so both answers occur.
+    rng = random.Random(900 + seed)
+    d = random_digraph(rng, n, rng.choice([0.5, 1.0, 1.5]) / n)
+    D = nx.DiGraph(list(d.arcs()))
+    D.add_nodes_from(range(n))
+    ok, payload = is_acyclic_directed(d)
+    assert ok == nx.is_directed_acyclic_graph(D)
+    if not ok:
+        assert_dicycle(d, payload)
+    g = random_graph(rng, n, rng.choice([0.5, 1.0, 1.5]) / n)
+    G = nx.Graph(list(g.edges()))
+    G.add_nodes_from(range(n))
+    ok, cycle = is_acyclic_undirected(g)
+    assert ok == nx.is_forest(G)
+    if not ok:
+        assert_cycle(g, cycle)
+
+
 def _components(g: Graph):
     seen = set()
     for root in range(g.n):

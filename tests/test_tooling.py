@@ -170,9 +170,9 @@ def test_detection_kernels_are_sized_by_component(monkeypatch):
     for problem, g in instances:
         largest = _largest_component(g)
         assert 2 * largest < g.n, problem
-        # The dfvs kernel adds the split vertex; the doct kernel runs on
-        # the label-extended digraph, two copies per vertex.
-        bound = {"dfvs": largest + 1, "doct": 2 * largest}.get(problem, largest)
+        # The doct kernel runs on the label-extended digraph, two copies
+        # per vertex; every other kernel runs on the component itself.
+        bound = {"doct": 2 * largest}.get(problem, largest)
         sizes.clear()
         detect.detector_factory(problem, g)
         assert sizes and max(sizes) <= bound, (problem, max(sizes, default=None), bound)
