@@ -317,10 +317,12 @@ def _with_timeout(seconds: float, fn, *fnargs):
         raise _Timeout
 
     old = signal.signal(signal.SIGALRM, handler)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
     t0 = time.perf_counter()
     try:
+        # Armed and disarmed in the try, so a stray alarm reads as a timeout.
+        signal.setitimer(signal.ITIMER_REAL, seconds)
         value = fn(*fnargs)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         return value, (time.perf_counter() - t0) * 1e3, False
     except _Timeout:
         return None, (time.perf_counter() - t0) * 1e3, True

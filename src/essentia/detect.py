@@ -44,7 +44,7 @@ from .graphs import Digraph, Graph, components, induced, isolate
 from .lp import LPState, solve_v_avoiding_lp
 from .matching import min_vertex_cover_bipartite
 from .problems import PROBLEMS
-from .tpaths import PathPacking, max_T_path_packing, max_odd_T_path_packing
+from .tpaths import max_T_path_packing, max_odd_T_path_packing
 
 
 @dataclass(frozen=True)
@@ -113,12 +113,12 @@ def _shorten(cycle: list[int], adjacent: Callable[[int, int], bool], odd: bool =
 
 
 def _flower_number(
-    g: Graph, v: int, packer: Callable[..., PathPacking], odd: bool
+    g: Graph, v: int, packer: Callable[..., tuple], odd: bool
 ) -> tuple[int, FlowerCertificate]:
     """Petals through v from a T-path packing in G - v with the neighbors
     of v as terminals, each closed through v and shortened along chords."""
     packing = packer(isolate(g, v), g.neighbors(v))
-    petals = tuple(_shorten([v, *p], g.has_edge, odd) for p in packing.paths)
+    petals = tuple(_shorten([v, *p], g.has_edge, odd) for p in packing)
     return len(packing), FlowerCertificate(v, petals)
 
 

@@ -5,7 +5,8 @@ w_in -> w_out with capacity one; arcs get effectively infinite capacity.
 Max-flow / min-cut then gives a separator whose size equals the number
 of internally vertex-disjoint paths returned (Menger equality), verified
 on construction.  The minimum cut is read off the last, failed
-augmenting search: the vertices it reached are the source side.  The
+augmenting search: the vertices it reached are the source side, and
+the paths are read off the residual capacities of the arcs.  The
 flow runs from s_out to t_in, so for s == t it packs directed cycles
 through s that meet only at s, and the separator meets every such cycle.
 """
@@ -88,26 +89,18 @@ def min_vertex_separator(d: Digraph, s: int, t: int) -> SeparatorResult:
         w for w in range(n) if v_in(w) in reach and v_out(w) not in reach
     )
 
-    # Path decomposition: consume one unit of used split capacity per step.
-    used: list[dict[int, int]] = [dict() for _ in range(2 * n)]
-    for w in range(n):
-        if cap[v_in(w)][v_out(w)] == 0:
-            used[v_in(w)][v_out(w)] = 1
-    for u, w in d.arcs():
-        spent = big - cap[v_out(u)][v_in(w)]
-        if spent > 0:
-            used[v_out(u)][v_in(w)] = spent
+    # Paths: arc u -> w carries flow exactly when its residual capacity
+    # dropped below big; unit vertex capacities leave every vertex other
+    # than s and t on at most one path, so each step has one successor.
+    def flow_successors(u: int) -> list[int]:
+        return [w for w in d.successors(u) if cap[v_out(u)][v_in(w)] < big]
+
     paths = []
-    for _ in range(flow):
-        path = [s]
-        node = source
-        while node != sink:
-            nxt = next(x for x, c in used[node].items() if c > 0)
-            used[node][nxt] -= 1
-            if nxt % 2 == 1:  # leaving a split vertex: record it
-                path.append(nxt // 2)
-            node = nxt
-        path.append(t)
+    for w in flow_successors(s):
+        path = [s, w]
+        while path[-1] != t:
+            (nxt,) = flow_successors(path[-1])
+            path.append(nxt)
         paths.append(tuple(path))
 
     result = SeparatorResult(separator, tuple(paths))

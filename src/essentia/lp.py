@@ -13,9 +13,10 @@ a fractional packing of pooled holes (weight y_h per hole, every vertex
 u != v loaded at most 1), so each cut is a new column and the simplex
 re-optimises from the last basis.  The solved state carries that packing
 as its certificate: its total equals the cost.  The oracle scales the
-current assignment to integers over its common denominator and takes the
-first hole lighter than one from ``recognize.light_holes``, the hole
-search that the branching's ``shortest_hole`` runs under unit weights.
+current assignment to integers with ``simplex.integers``, as the tableau
+does on entry, and takes the first hole lighter than one from
+``recognize.light_holes``, the hole search that the branching's
+``shortest_hole`` runs under unit weights.
 
 Upper bounds x_u <= 1 never bind at an optimum of a pure covering
 objective, so the simplex tableau only carries the covering rows; the
@@ -25,12 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .graphs import Graph
 from .recognize import light_holes
-from .simplex import Tableau, simplex_min
+from .simplex import Tableau, integers, simplex_min
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -58,8 +58,7 @@ def separation_oracle_holes(
     so "weight < 1" is "sum < L", and the first hole that
     ``recognize.light_holes`` yields below L is returned.
     """
-    scale = lcm(*[x.denominator for x in weights])
-    w = [x.numerator * (scale // x.denominator) for x in weights]
+    w, scale = integers(weights)
     hole = next(light_holes(g, w, scale), None)
     if hole is not None:
         _assert_hole(g, hole)
@@ -131,8 +130,7 @@ def _assert_packing(n: int, v: int, pool, packing, cost: Fraction) -> None:
     """The packing certifies the cost: y >= 0, every vertex other than v
     loaded at most 1, and the total equal to the cost (in integers over
     the weights' common denominator L)."""
-    scale = lcm(*[y.denominator for y in packing])
-    w = [y.numerator * (scale // y.denominator) for y in packing]
+    w, scale = integers(packing)
     load = [0] * n
     for hole, wy in zip(pool, w):
         for u in hole if wy else ():

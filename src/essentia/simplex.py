@@ -35,10 +35,10 @@ class Infeasible(ValueError):
     pass
 
 
-def _integers(values: Sequence) -> tuple[list[int], int]:
+def integers(values: Sequence) -> tuple[list[int], int]:
     """(integers, scale) with integers[j] == scale * values[j], scale >= 1
     the least common denominator."""
-    fr = [v if isinstance(v, int) else Fraction(v) for v in values]
+    fr = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     scale = lcm(*[f.denominator for f in fr])
     return [f.numerator * (scale // f.denominator) for f in fr], scale
 
@@ -95,7 +95,7 @@ class Tableau:
     last row holds the reduced costs.  After ``Infeasible`` it is spent."""
 
     def __init__(self, costs: Sequence) -> None:
-        c, self.scale = _integers(costs)
+        c, self.scale = integers(costs)
         if any(cu < 0 for cu in c):
             raise ValueError("costs must be non-negative")
         nx = len(c)
@@ -108,7 +108,7 @@ class Tableau:
 
     def add(self, row: Sequence, b) -> None:
         """Append the constraint row . x >= b as a column."""
-        line, s = _integers([*row, b])
+        line, s = integers([*row, b])
         b = line.pop()
         a = [(u + 1, au) for u, au in enumerate(line) if au]
         for tr in self.tab:

@@ -1,11 +1,11 @@
 """Packings of T-paths (paths with at least one edge and both endpoints
 in a terminal set T) via reductions to maximum matching.
 
-Any-parity packing: build an auxiliary graph with two adjacent copies of
-every non-terminal, terminals connected to both copies of their
-non-terminal neighbors, and all four copy-copy edges per non-terminal
-edge.  A maximum matching there exceeds the number of copy pairs by
-exactly the maximum number of vertex-disjoint T-paths.
+Any-parity packing: build an auxiliary graph with one copy of every
+terminal and two adjacent copies of every non-terminal, one map holding
+each vertex's copies, and join every copy of u to every copy of v for
+each edge uv.  A maximum matching there exceeds the number of copy
+pairs by exactly the maximum number of vertex-disjoint T-paths.
 
 Odd packing: the auxiliary graph is the original graph plus a copy of
 G - T, with each non-terminal joined to its copy.  Odd T-paths
@@ -17,26 +17,18 @@ one lies on no T-path, and its copy pair would only match itself.
 Each packer only builds its auxiliary graph, with the copy pairs and
 the map back to G; both then end in one shared tail, ``_pack``.  It
 matches the auxiliary graph, counts the T-paths as the matching's
-excess over the copy pairs, and extracts an explicit packing after
-normalizing the matching: doubly-used edges are re-paired onto the copy
-edges, and any non-terminal with a single matched copy is re-matched to
-its copy (size is preserved, so the matching stays maximum throughout).
+excess over the copy pairs, and returns the tuple of paths (G-vertex
+tuples) read off after normalizing the matching: doubly-used edges are
+re-paired onto the copy edges, and any non-terminal with a single
+matched copy is re-matched to its copy (size is preserved, so the
+matching stays maximum throughout).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import Graph
 from .matching import max_matching_adj
-
-
-@dataclass(frozen=True)
-class PathPacking:
-    paths: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.paths)
 
 
 def _project_and_extract(
@@ -128,7 +120,7 @@ def _normalize(mate: list[int], pairs: list[tuple[int, int]]) -> None:
 
 
 def _pack(T: frozenset[int], adj: list[list[int]], pairs: list[tuple[int, int]],
-          back: list[int], odd: bool) -> PathPacking:
+          back: list[int], odd: bool) -> tuple[tuple[int, ...], ...]:
     """The tail both packers share: a maximum matching of the auxiliary
     graph adj exceeds its copy pairs by the packing number; normalize it
     and read the paths off through back."""
@@ -138,19 +130,19 @@ def _pack(T: frozenset[int], adj: list[list[int]], pairs: list[tuple[int, int]],
     if count < 0:
         raise AssertionError("matching smaller than the copy-pair baseline")
     _normalize(mate, pairs)
-    return PathPacking(tuple(_project_and_extract(T, mate, back, count, odd)))
+    return tuple(_project_and_extract(T, mate, back, count, odd))
 
 
-def max_T_path_packing(g: Graph, terminals: Iterable[int]) -> PathPacking:
+def max_T_path_packing(g: Graph, terminals: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """Maximum-cardinality packing of pairwise vertex-disjoint T-paths."""
     T = frozenset(terminals)
     nonterm = [v for v in range(g.n) if v not in T and g.degree(v)]
     # Terminals come first in sorted order, then the two copies of each
     # non-terminal side by side; back lists every auxiliary vertex's image.
     back = sorted(T) + [u for u in nonterm for _ in range(2)]
-    idx = {t: i for i, t in enumerate(back[:len(T)])}
-    copy1 = {u: len(T) + 2 * j for j, u in enumerate(nonterm)}
-    copy2 = {u: x + 1 for u, x in copy1.items()}
+    copies: dict[int, tuple[int, ...]] = {}
+    for x, u in enumerate(back):
+        copies[u] = copies.get(u, ()) + (x,)
     adj: list[list[int]] = [[] for _ in back]
 
     def link(x: int, y: int) -> None:
@@ -158,20 +150,10 @@ def max_T_path_packing(g: Graph, terminals: Iterable[int]) -> PathPacking:
         adj[y].append(x)
 
     for u, v in g.edges():
-        if u in T and v in T:
-            link(idx[u], idx[v])
-        elif u in T:
-            link(idx[u], copy1[v])
-            link(idx[u], copy2[v])
-        elif v in T:
-            link(idx[v], copy1[u])
-            link(idx[v], copy2[u])
-        else:
-            link(copy1[u], copy1[v])
-            link(copy1[u], copy2[v])
-            link(copy2[u], copy1[v])
-            link(copy2[u], copy2[v])
-    pairs = [(copy1[u], copy2[u]) for u in nonterm]
+        for x in copies[u]:
+            for y in copies[v]:
+                link(x, y)
+    pairs = [copies[u] for u in nonterm]
     for a, b in pairs:
         link(a, b)
     return _pack(T, adj, pairs, back, odd=False)
@@ -200,7 +182,7 @@ def _odd_aux_graph(g: Graph, T: frozenset[int]):
     return adj, pairs, back
 
 
-def max_odd_T_path_packing(g: Graph, terminals: Iterable[int]) -> PathPacking:
+def max_odd_T_path_packing(g: Graph, terminals: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """Maximum-cardinality packing of pairwise vertex-disjoint odd T-paths."""
     T = frozenset(terminals)
     return _pack(T, *_odd_aux_graph(g, T), odd=True)

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import json
+import signal
 
 import jsonschema
 import pytest
 
 from essentia.cli import EXIT_USAGE, main
-from essentia.generate import planted_flower
+from essentia.generate import gnp, planted_flower
 from essentia.graphs import serialize_graph
 
 REPORT_SCHEMA = {
@@ -296,6 +297,21 @@ def test_bench(capsys, tmp_path, c5_file, friendship_file):
     assert len(rows) == 2
     assert all(not r["timeout"] for r in rows)
     assert rows[1]["opt"] == 1
+
+
+def test_bench_tiny_timeout(capsys, tmp_path):
+    # An alarm that fires before the solve starts is a timed-out row, not
+    # a traceback, and the caller's SIGALRM handler comes back.
+    (tmp_path / "g.gr").write_text(serialize_graph(gnp(30, 0.15, 1)))
+    suite = tmp_path / "suite.txt"
+    suite.write_text("g.gr\ng.gr\n")
+    before = signal.getsignal(signal.SIGALRM)
+    code, out, _ = run(capsys, ["bench", "--problem", "fvs", "--suite", str(suite),
+                                "--timeout", "1e-6", "--json"])
+    assert code == 0
+    rows = json.loads(out)["result"]["rows"]
+    assert len(rows) == 2 and all(r["timeout"] for r in rows)
+    assert signal.getsignal(signal.SIGALRM) is before
 
 
 def test_bench_mismatch_rejected(capsys, tmp_path, c5_file):

@@ -16,7 +16,7 @@ from essentia.detect import (
     flower_number_oct,
     vc_lp_halfintegral,
 )
-from essentia.generate import gnp, planted_ess
+from essentia.generate import gnp, planted_ess, planted_flower
 from essentia.graphs import Digraph, Graph, delete_vertices
 from essentia.oracle import brute_flower, verify_detection
 from essentia.tpaths import max_odd_T_path_packing, max_T_path_packing
@@ -95,6 +95,20 @@ def test_flowers_vs_brute(seed):
         count, cert = flower_number_dfvs(d, v)
         assert count == brute_flower(d, v, "directed-cycles")
         verify_flower_certificate("dfvs", d, cert)
+
+
+@pytest.mark.parametrize("q", [20, 60])
+def test_planted_flowers_beyond_brute_scale(q):
+    # Exact kernel answers where no oracle reaches: both T-path packers,
+    # both flow cases (s == t and label-extended pairs) and the vc LP.
+    for problem, flower in (("fvs", flower_number_fvs), ("oct", flower_number_oct),
+                            ("dfvs", flower_number_dfvs)):
+        g = planted_flower(problem, q)
+        count, cert = flower(g, 0)
+        assert count == q and len(cert.petals) == q, problem
+        verify_flower_certificate(problem, g, cert)
+    assert _doct_scores(planted_flower("doct", q))[0][0] == q
+    assert vc_lp_halfintegral(planted_flower("vc", q))[0] == 1
 
 
 def test_detect_fvs_friendship():
@@ -244,7 +258,7 @@ def test_flower_matches_renumbered_packing(seed):
             packing = packer(h, terminals)
             petals = tuple(
                 _shorten([v] + [inv[x] for x in p], g.has_edge, odd)
-                for p in packing.paths
+                for p in packing
             )
             count, cert = fn(g, v)
             assert count == len(packing), (seed, v, odd)

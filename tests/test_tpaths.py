@@ -62,7 +62,7 @@ def brute_min_hitting(g: Graph, T: set[int], odd=False) -> int:
 
 def check_packing(g: Graph, T: set[int], packing, odd=False) -> None:
     used: set[int] = set()
-    for p in packing.paths:
+    for p in packing:
         assert p[0] in T and p[-1] in T and len(p) >= 2
         assert len(set(p)) == len(p)
         assert not (set(p) & used)
