@@ -417,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="contract-check a detector vs the oracle")
     p.add_argument("--problem", required=True, choices=PROBLEM_IDS)
     p.add_argument("--c", type=_at_least_one, default=None)
-    p.add_argument("--max-n", type=_non_negative_int, default=8, dest="max_n")
+    p.add_argument("--max-n", type=_non_negative_int, default=8, dest="max_n",
+                   help="vertex count of every instance (exact, not a maximum)")
     p.add_argument("--trials", type=_non_negative_int, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(

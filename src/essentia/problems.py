@@ -15,7 +15,9 @@ class Problem:
     c: int  # detection coefficient
     directed: bool
     in_class: Callable[[Graph | Digraph], bool]
-    forbidden_structure: Callable[[Graph | Digraph], list[int] | None]
+    # (graph, floor) -> a shortest forbidden structure; floor is a length
+    # the caller knows it cannot go below (recognize's module docstring).
+    forbidden_structure: Callable[[Graph | Digraph, int], list[int] | None]
 
     def check_graph(self, g: Graph | Digraph) -> None:
         """Raise TypeError unless g has this problem's directedness."""
@@ -24,7 +26,8 @@ class Problem:
             raise TypeError(f"expected {kind} graph for {self.id}")
 
 
-def _first_edge(g: Graph) -> list[int] | None:
+def _first_edge(g: Graph, floor: int = 0) -> list[int] | None:
+    """The first edge; every edge is shortest, so floor is unused."""
     for u in range(g.n):
         nbrs = g.neighbors(u)
         if nbrs:

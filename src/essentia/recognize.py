@@ -19,6 +19,15 @@ runs it under unit weights, and the CVD LP's separation oracle under the
 scaled LP assignment.  shortest_cycle keeps its own per-root BFS, cut
 off at the incumbent.  Roots that lie on no cycle because they have no
 neighbours (no predecessors, for digraphs) are skipped.
+
+The five shortest-structure searches take a floor (default 0), a length
+the caller knows the answer cannot go below, and stop once the incumbent
+reaches it: shortest_hole at the first hole of that length, the others
+before their next root.  Each search replaces its incumbent only with a
+strictly shorter one, so the first root (the first hole) wins ties, and
+with floor at most the true minimum the result is the one without a
+floor.  Deleting vertices never shortens any of these structures, so a
+structure of a graph is a valid floor for every graph below it.
 """
 from __future__ import annotations
 
@@ -254,12 +263,18 @@ def light_holes(g: Graph, w: Sequence[int], total: int) -> Iterator[tuple[int, .
             mark[y] = 0
 
 
-def shortest_hole(g: Graph) -> list[int] | None:
+def shortest_hole(g: Graph, floor: int = 0) -> list[int] | None:
     """The first shortest chordless cycle of length >= 4 in (u, p, q)
     order, or None if chordal: light_holes under unit weights, where a
-    hole's weight is its length, at most n."""
-    hole = min(light_holes(g, [1] * g.n, g.n + 1), key=len, default=None)
-    return None if hole is None else list(hole)
+    hole's weight is its length, at most n.  The scan stops at the first
+    hole no longer than floor."""
+    best: tuple[int, ...] | None = None
+    for hole in light_holes(g, [1] * g.n, g.n + 1):
+        if best is None or len(hole) < len(best):
+            best = hole
+            if len(best) <= floor:
+                break
+    return None if best is None else list(best)
 
 
 def is_chordal(g: Graph) -> tuple[bool, list[int]]:
@@ -321,10 +336,12 @@ def is_odd_dicycle_free(d: Digraph) -> tuple[bool, list[int] | None]:
     return cycle is None, cycle
 
 
-def shortest_cycle(g: Graph) -> list[int] | None:
+def shortest_cycle(g: Graph, floor: int = 0) -> list[int] | None:
     """A shortest cycle (vertex list), or None if the graph is a forest."""
     best: list[int] | None = None
     for root in range(g.n):
+        if best is not None and len(best) <= floor:
+            break
         if not g.neighbors(root):
             continue
         parent = {root: -1}
@@ -346,10 +363,12 @@ def shortest_cycle(g: Graph) -> list[int] | None:
     return best
 
 
-def shortest_odd_cycle(g: Graph) -> list[int] | None:
+def shortest_odd_cycle(g: Graph, floor: int = 0) -> list[int] | None:
     """A shortest odd cycle, or None if the graph is bipartite."""
     best: list[int] | None = None
     for s in range(g.n):
+        if best is not None and len(best) <= floor:
+            break
         # A walk is kept only if its edge count is at most len(best); a
         # shortest odd closed walk has at most 2n edges.
         limit = 2 * g.n if best is None else len(best)
@@ -361,11 +380,13 @@ def shortest_odd_cycle(g: Graph) -> list[int] | None:
     return best
 
 
-def _shortest_dicycle(d: Digraph, odd: bool) -> list[int] | None:
+def _shortest_dicycle(d: Digraph, odd: bool, floor: int) -> list[int] | None:
     """A simple cycle from the shortest closed walk over all roots (the
     first root wins ties); None if there is none."""
     walk: list[int] | None = None
     for s in range(d.n):
+        if walk is not None and len(walk) - 1 <= floor:
+            break
         if not d.predecessors(s):
             continue
         # Only a walk with fewer edges than the incumbent's replaces it.
@@ -378,12 +399,12 @@ def _shortest_dicycle(d: Digraph, odd: bool) -> list[int] | None:
     return _cycle_from_walk(walk, odd)
 
 
-def shortest_dicycle(d: Digraph) -> list[int] | None:
+def shortest_dicycle(d: Digraph, floor: int = 0) -> list[int] | None:
     """A shortest directed cycle, or None if the digraph is acyclic."""
-    return _shortest_dicycle(d, odd=False)
+    return _shortest_dicycle(d, odd=False, floor=floor)
 
 
-def shortest_odd_dicycle(d: Digraph) -> list[int] | None:
+def shortest_odd_dicycle(d: Digraph, floor: int = 0) -> list[int] | None:
     """A shortest simple odd directed cycle, extracted from the shortest
     odd closed walk; None if the digraph has no odd directed cycle."""
-    return _shortest_dicycle(d, odd=True)
+    return _shortest_dicycle(d, odd=True, floor=floor)

@@ -19,6 +19,13 @@ fails when the packing exceeds the budget, and returns as soon as a
 child's set meets the bound.  After each solution the budget drops to
 one below its size, so later children search for smaller sets only.
 
+Floor.  Isolating vertices never shortens a shortest forbidden
+structure, so the structure of a node bounds from below the structure
+of each child, and each structure a packing isolates bounds the next
+one.  Each search gets that length as its floor and stops its scan once
+its incumbent reaches it; with the floor at most the true minimum it
+returns what it returns without one, so the memo stays valid.
+
 Memo.  A node's graph is the solver's input with the vertices of a
 bitmask isolated; isolate commutes, so equal masks mean equal graphs.
 A dict from mask to forbidden structure runs each structure search once
@@ -82,7 +89,8 @@ def _packing_bound(
     Every deletion set hits each structure of the packing, so its size is
     a lower bound on the minimum.  For vc the packing is a greedy matching.
     h is the root graph with the vertices of mask isolated; the packed
-    structures are isolated only when the memo misses.
+    structures are isolated only when the memo misses.  Each search gets
+    the length of the structure packed before it as its floor.
     """
     size = 1
     pending: list[int] = []
@@ -94,7 +102,7 @@ def _packing_bound(
             for v in pending:
                 h = isolate(h, v)
             pending.clear()
-            memo[mask] = prob.forbidden_structure(h)
+            memo[mask] = prob.forbidden_structure(h, len(structure))
         structure = memo[mask]
         if structure is None:
             break
@@ -103,14 +111,16 @@ def _packing_bound(
 
 
 def _branch(
-    prob: Problem, h: Graph | Digraph, mask: int, b: int, nodes: list[int], memo: dict
+    prob: Problem, h: Graph | Digraph, mask: int, b: int, nodes: list[int],
+    memo: dict, floor: int = 0,
 ) -> list[int] | None:
     """Minimum deletion set of h within budget b, or None; counts its
     branching-tree nodes into nodes[0].  h is the root graph with the
-    vertices of mask isolated."""
+    vertices of mask isolated, and floor the length of its parent's
+    structure."""
     nodes[0] += 1
     if mask not in memo:
-        memo[mask] = prob.forbidden_structure(h)
+        memo[mask] = prob.forbidden_structure(h, floor)
     structure = memo[mask]
     if structure is None:
         return []
@@ -119,7 +129,8 @@ def _branch(
         return None
     best: list[int] | None = None
     for w in structure:
-        sub = _branch(prob, isolate(h, w), mask | 1 << w, b - 1, nodes, memo)
+        sub = _branch(prob, isolate(h, w), mask | 1 << w, b - 1, nodes, memo,
+                      len(structure))
         if sub is not None:
             best = [w] + sub
             if len(best) == bound:

@@ -1,9 +1,27 @@
-"""Shared corpus helpers: seeded random instances and small named graphs."""
+"""Shared corpus helpers: seeded random instances and small named graphs,
+and a loader for the benchmark's own modules."""
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 from essentia.graphs import Digraph, Graph
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_module(stem: str, monkeypatch):
+    """bench/<stem>.py, loaded read-only from its file (bench/ is not a
+    package) under the name _bench_<stem>."""
+    name = f"_bench_{stem}"
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes.
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

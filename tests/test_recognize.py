@@ -15,7 +15,7 @@ from conftest import (
     random_digraph,
     random_graph,
 )
-from essentia.graphs import Digraph, Graph
+from essentia.graphs import Digraph, Graph, isolate
 from essentia.recognize import (
     is_acyclic_directed,
     is_acyclic_undirected,
@@ -360,6 +360,53 @@ def test_cycle_searches_vs_networkx(seed):
         assert_dicycle(d, odd, odd=True)
         found = _shortest_length(nx.simple_cycles(D, length_bound=len(odd)), odd=True)
         assert found == len(odd)
+
+
+# The five structure searches, and whether each runs on digraphs.
+SEARCHES = [
+    (shortest_cycle, False),
+    (shortest_odd_cycle, False),
+    (shortest_hole, False),
+    (shortest_dicycle, True),
+    (shortest_odd_dicycle, True),
+]
+
+
+def _search_corpus(directed: bool, salt: str, count: int):
+    """Seeded graphs (or digraphs) with n = 1-40 and average degree
+    1.2-3, in- and out-degree together for digraphs."""
+    rng = random.Random(f"floor-{salt}-{directed}")
+    for _ in range(count):
+        n = rng.randint(1, 40)
+        p = min(1.0, rng.uniform(1.2, 3.0) / max(n - 1, 1))
+        yield random_digraph(rng, n, p / 2) if directed else random_graph(rng, n, p)
+
+
+@pytest.mark.parametrize("search,directed", SEARCHES,
+                         ids=[s.__name__ for s, _ in SEARCHES])
+def test_floor_at_most_the_minimum_changes_no_result(search, directed):
+    # A search stops once its incumbent reaches the floor; every floor up
+    # to the true minimum returns the structure found without a floor.
+    for g in _search_corpus(directed, "invariance", 30):
+        plain = search(g)
+        top = len(plain) if plain is not None else g.n
+        for f in range(top + 1):
+            assert search(g, f) == plain
+
+
+@pytest.mark.parametrize("search,directed", SEARCHES,
+                         ids=[s.__name__ for s, _ in SEARCHES])
+def test_isolating_a_vertex_never_shortens_the_structure(search, directed):
+    # What the branching solver's floors rest on: a structure of g bounds
+    # the structures of every graph below g.
+    for g in _search_corpus(directed, "monotone", 20):
+        plain = search(g)
+        for w in range(g.n):
+            below = search(isolate(g, w))
+            if plain is None:
+                assert below is None
+            elif below is not None:
+                assert len(below) >= len(plain)
 
 
 def brute_girth(g: Graph, odd=False):

@@ -9,11 +9,13 @@ import pytest
 from conftest import (
     complete_graph,
     cycle_graph,
+    load_bench_module,
     path_graph,
     petersen_graph,
     random_digraph,
     random_graph,
 )
+from essentia import generate
 from essentia.detect import detector_factory
 from essentia.generate import gnp, planted_ess
 from essentia.graphs import Digraph, Graph, delete_vertices
@@ -201,3 +203,20 @@ def test_meta_solve_leaves_no_cyclic_garbage():
         if was_enabled:
             gc.enable()
     assert not garbage, f"{len(garbage)} cyclic objects, e.g. {garbage[:3]!r}"
+
+
+def test_benchmark_node_counts_are_pinned(monkeypatch):
+    # solve.nodes is the benchmark's work count for the branching solver.
+    # A change that is meant to keep every result (a cheaper search, a
+    # floor) must keep these totals; one that changes them on purpose
+    # updates them here and reports the change.
+    workloads = load_bench_module("workloads", monkeypatch)
+    totals = {}
+    for workload in ("branch-gnp", "planted-ess", "cvd-lp"):
+        instances = workloads.base_instances(workload)
+        totals[workload] = (len(instances), sum(
+            meta_solve(inst.problem, inst.build(generate)).solver_nodes
+            for inst in instances))
+    assert totals == {
+        "branch-gnp": (30, 4180), "planted-ess": (48, 336), "cvd-lp": (24, 307),
+    }

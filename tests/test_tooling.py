@@ -4,14 +4,12 @@ from __future__ import annotations
 import ast
 import cProfile
 import importlib
-import importlib.util
 import pstats
-import sys
 from pathlib import Path
 
 import networkx as nx
 
-from conftest import disjoint_union
+from conftest import disjoint_union, load_bench_module
 from essentia.generate import gnp, planted_ess
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,16 +65,6 @@ def test_only_cli_and_init_import_the_oracle():
     assert set(found) <= allowed, f"modules importing the oracle: {found}"
 
 
-def _load(path: Path, monkeypatch):
-    name = f"_bench_{path.stem}"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules while it executes.
-    monkeypatch.setitem(sys.modules, name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _calls_by_caller(profile: cProfile.Profile, fn) -> dict[tuple[str, str], int]:
     """Calls of fn that profile recorded, keyed by the caller's (file
     name, function name)."""
@@ -92,8 +80,8 @@ def _calls_by_caller(profile: cProfile.Profile, fn) -> dict[tuple[str, str], int
 def test_traced_benchmark_names_are_called(monkeypatch):
     # The traced benchmark wraps module attributes that the library looks
     # up at call time; a call that bypasses one records no span there.
-    tracing = _load(ROOT / "bench" / "tracing.py", monkeypatch)
-    workloads = _load(ROOT / "bench" / "workloads.py", monkeypatch)
+    tracing = load_bench_module("tracing", monkeypatch)
+    workloads = load_bench_module("workloads", monkeypatch)
     E = workloads.import_essentia()
     graphs = {
         "vc": E.generate.gnp(8, 0.4, 1),
