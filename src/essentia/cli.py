@@ -14,9 +14,11 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
+import os
 import signal
 import sys
 import time
@@ -179,26 +181,21 @@ def cmd_solve(args) -> int:
     t1 = time.perf_counter()
     res = meta_solve(args.problem, g)
     t2 = time.perf_counter()
+    attempts = [dataclasses.asdict(a) for a in res.attempts]
     if args.trace:
         for t in res.schedule:
             print(json.dumps({
                 "event": "triple", "k": t.k,
                 "selected": len(t.selected), "budget": t.budget,
             }))
-        for a in res.attempts:
-            print(json.dumps({
-                "event": "attempt", "k": a.k, "budget": a.budget,
-                "nodes": a.nodes, "success": a.success,
-            }))
+        for a in attempts:
+            print(json.dumps({"event": "attempt", **a}))
     payload = {
         "solution": sorted(res.solution.vertices),
         "size": len(res.solution.vertices),
         "max_budget": res.max_budget_attempted,
         "solver_nodes": res.solver_nodes,
-        "attempts": [
-            {"k": a.k, "budget": a.budget, "nodes": a.nodes, "success": a.success}
-            for a in res.attempts
-        ],
+        "attempts": attempts,
     }
     timings = {"parse_ms": (t1 - t0) * 1e3, "solve_ms": (t2 - t1) * 1e3}
     c = PROBLEMS[args.problem].c
@@ -246,8 +243,8 @@ def cmd_verify(args) -> int:
             g = generate.gnp(args.max_n, density, instance_seed, directed)
             tasks.append((problem, c, serialize_graph(g), args.cap_opt, args.cap_ess))
     # The pool starts all its workers at the first submit, so never ask
-    # for more than there are tasks.
-    workers = min(args.workers, len(tasks))
+    # for more than there are tasks or CPUs.
+    workers = min(args.workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_one, tasks))
@@ -302,7 +299,10 @@ def cmd_gen(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     return EXIT_OK
 
 

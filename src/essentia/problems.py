@@ -1,5 +1,6 @@
 """The six vertex-deletion problems: target classes, recognizers, and
-the shortest forbidden structures the branching solvers pivot on."""
+the shortest forbidden structures the branching solvers pivot on.  A
+recognizer's "no" witness is its problem's ``forbidden_structure(g)``."""
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -3,13 +3,15 @@ structures used by the branching solvers.
 
 Every recognizer returns a pair: a boolean verdict plus a certificate.
 On the yes side the certificate is constructive (2-coloring, topological
-order, perfect elimination order); on the no side it is a forbidden
-structure (odd cycle, cycle, directed cycle, hole) given as a vertex
-sequence in cycle order, without repeating the start vertex.
+order, perfect elimination order); on the no side it is the list
+``PROBLEMS[p].forbidden_structure`` returns, the problem's shortest
+forbidden structure in cycle order.  Verdicts come from one pass where
+there is one (BFS 2-coloring, Kahn's algorithm, the LexBFS order check,
+and for forests the edge count, as a graph is a forest exactly when it
+has n minus its number of components edges), so the all-roots structure
+search runs only on the no side.
 
-Three search cores serve several callers.  ``_bfs_forest`` is the
-all-roots BFS forest of is_bipartite and is_acyclic_undirected, which
-differ only in the edge that closes a witness.  ``_closed_walk`` is the
+Two search cores serve several callers.  ``_closed_walk`` is the
 per-root BFS for a shortest (odd) closed walk that shortest_dicycle,
 shortest_odd_dicycle and shortest_odd_cycle extract cycles from; each
 caller caps the walk at the most edges that could still replace its
@@ -35,16 +37,15 @@ import heapq
 from collections import deque
 from typing import Callable, Iterator, Sequence
 
-from .graphs import Digraph, Graph
+from .graphs import Digraph, Graph, components
 
 
-def _cycle_from_walk(walk: Sequence[int], odd: bool) -> list[int]:
-    """Extract a simple cycle from a closed walk (walk[0] == walk[-1]).
+def _cycle_from_walk(walk: Sequence[int]) -> list[int]:
+    """A shortest odd simple cycle of a closed odd walk (walk[0] == walk[-1]).
 
     Scans with a stack, splitting off a simple cycle whenever a vertex
     repeats; the walk's edges decompose exactly into the extracted
-    cycles, so an odd walk always yields an odd cycle.  With odd unset
-    the first repeat closes the cycle, so the walk need not be closed.
+    cycles, so an odd walk always yields an odd cycle.
     """
     stack: list[int] = []
     pos: dict[int, int] = {}
@@ -52,8 +53,6 @@ def _cycle_from_walk(walk: Sequence[int], odd: bool) -> list[int]:
     for x in walk:
         if x in pos:
             cyc = stack[pos[x]:]
-            if not odd:
-                return cyc
             if len(cyc) % 2 == 1 and (best is None or len(cyc) < len(best)):
                 best = cyc
             for y in cyc[1:]:
@@ -63,11 +62,11 @@ def _cycle_from_walk(walk: Sequence[int], odd: bool) -> list[int]:
             pos[x] = len(stack)
             stack.append(x)
     if best is None:
-        raise AssertionError("closed walk contained no cycle of requested parity")
+        raise AssertionError("closed walk contained no odd cycle")
     return best
 
 
-def _meet_paths(u: int, w: int, parent: Sequence[int] | dict, depth: Sequence[int] | dict) -> list[int]:
+def _meet_paths(u: int, w: int, parent: dict[int, int], depth: dict[int, int]) -> list[int]:
     """Cycle through edge (u, w) and the two tree paths to their meeting
     point, as a vertex list in cycle order."""
     pu, pw = u, w
@@ -86,48 +85,36 @@ def _meet_paths(u: int, w: int, parent: Sequence[int] | dict, depth: Sequence[in
     return path_u + list(reversed(path_w[:-1]))
 
 
-def _bfs_forest(
-    g: Graph, clash: Callable[[int, int, list[int], list[int]], bool]
-) -> tuple[list[int], list[int] | None]:
-    """All-roots BFS forest in id order, with depth -1 for unseen
-    vertices.  Returns (depth, None), or (depth, cycle) where cycle closes
-    the first edge (u, w) to a seen w with clash(u, w, parent, depth)."""
-    parent = [-1] * g.n
-    depth = [-1] * g.n
+def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
+    """Return (True, BFS 2-coloring, roots in id order) or (False,
+    shortest odd cycle)."""
+    color = [-1] * g.n
     for root in range(g.n):
-        if depth[root] != -1:
+        if color[root] != -1:
             continue
-        depth[root] = 0
+        color[root] = 0
         queue = deque([root])
         while queue:
             u = queue.popleft()
             for w in g.neighbors(u):
-                if depth[w] == -1:
-                    parent[w] = u
-                    depth[w] = depth[u] + 1
+                if color[w] == -1:
+                    color[w] = color[u] ^ 1
                     queue.append(w)
-                elif clash(u, w, parent, depth):
-                    return depth, _meet_paths(u, w, parent, depth)
-    return depth, None
-
-
-def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
-    """Return (True, proper 2-coloring) or (False, odd cycle witness)."""
-    depth, cycle = _bfs_forest(
-        g, lambda u, w, parent, depth: depth[u] % 2 == depth[w] % 2)
-    if cycle is not None:
-        return False, cycle
-    return True, [d % 2 for d in depth]
+                elif color[w] == color[u]:
+                    return False, shortest_odd_cycle(g)
+    return True, color
 
 
 def is_acyclic_undirected(g: Graph) -> tuple[bool, list[int] | None]:
-    """Return (True, None) or (False, cycle witness)."""
-    _, cycle = _bfs_forest(g, lambda u, w, parent, depth: parent[u] != w)
-    return cycle is None, cycle
+    """Return (True, None) or (False, shortest cycle)."""
+    if g.m == g.n - len(components(g)):
+        return True, None
+    return False, shortest_cycle(g)
 
 
 def is_acyclic_directed(d: Digraph) -> tuple[bool, list[int] | None]:
-    """Return (True, topological order) or (False, directed cycle witness)."""
+    """Return (True, Kahn's topological order) or (False, shortest
+    directed cycle)."""
     indeg = [len(d.predecessors(v)) for v in range(d.n)]
     queue = deque(v for v in range(d.n) if indeg[v] == 0)
     order = []
@@ -140,15 +127,7 @@ def is_acyclic_directed(d: Digraph) -> tuple[bool, list[int] | None]:
                 queue.append(w)
     if len(order) == d.n:
         return True, order
-    # Every vertex with remaining in-degree has a predecessor among them;
-    # len(leftovers) predecessor steps must repeat one, closing a cycle.
-    leftovers = {v for v in range(d.n) if indeg[v] > 0}
-    walk = [min(leftovers)]
-    for _ in leftovers:
-        walk.append(min(u for u in d.predecessors(walk[-1]) if u in leftovers))
-    cycle = _cycle_from_walk(walk, odd=False)
-    cycle.reverse()  # the predecessor walk runs against the arcs
-    return False, cycle
+    return False, shortest_dicycle(d)
 
 
 def lexbfs_order(g: Graph) -> list[int]:
@@ -374,7 +353,7 @@ def shortest_odd_cycle(g: Graph, floor: int = 0) -> list[int] | None:
         limit = 2 * g.n if best is None else len(best)
         walk = _closed_walk(s, g.neighbors, True, limit)
         if walk is not None:
-            cand = _cycle_from_walk(walk, odd=True)
+            cand = _cycle_from_walk(walk)
             if best is None or len(cand) < len(best):
                 best = cand
     return best
@@ -396,7 +375,8 @@ def _shortest_dicycle(d: Digraph, odd: bool, floor: int) -> list[int] | None:
             walk = cand
     if walk is None:
         return None
-    return _cycle_from_walk(walk, odd)
+    # Without parity the walk is a simple cycle with s repeated at its end.
+    return _cycle_from_walk(walk) if odd else walk[:-1]
 
 
 def shortest_dicycle(d: Digraph, floor: int = 0) -> list[int] | None:

@@ -104,7 +104,6 @@ class Tableau:
         self.basis = list(range(1, nx + 1))
         self.d = 1
         self.row_scales: list[int] = []  # one per constraint added
-        self.columns = 0
 
     def add(self, row: Sequence, b) -> None:
         """Append the constraint row . x >= b as a column."""
@@ -115,12 +114,11 @@ class Tableau:
             tr.append(sum(tr[j] * au for j, au in a))
         self.tab[-1][-1] -= self.d * b
         self.row_scales.append(s)
-        self.columns += 1
 
     def dual(self) -> list[Fraction]:
         """y per constraint, in the order added, on the unscaled rows."""
         nx = len(self.basis)
-        y = [Fraction(0)] * self.columns
+        y = [Fraction(0)] * len(self.row_scales)
         for i, bv in enumerate(self.basis):
             if bv > nx:
                 j = bv - nx - 1
@@ -138,14 +136,14 @@ def simplex_min(
 
     Entries may be ints, Fractions or anything Fraction() accepts; costs
     must be non-negative (ValueError otherwise).  A caller-held tableau
-    built from the same costs already holds rows[:tableau.columns]; the
-    rest are appended and the solve starts from its last basis.  Returns
-    (optimal value, optimal x); ``tableau.dual()`` then gives the dual
-    certificate.  Raises Infeasible.
+    built from the same costs already holds the first rows, one per entry
+    of its ``row_scales``; the rest are appended and the solve starts from
+    its last basis.  Returns (optimal value, optimal x); ``tableau.dual()``
+    then gives the dual certificate.  Raises Infeasible.
     """
     if tableau is None:
         tableau = Tableau(costs)
-    for i in range(tableau.columns, len(rows)):
+    for i in range(len(tableau.row_scales), len(rows)):
         tableau.add(rows[i], rhs[i])
     tableau.d = d = _optimize(tableau.tab, tableau.basis, tableau.d)
     z = tableau.tab[-1]  # x_u is slack u's reduced cost over D

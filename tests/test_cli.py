@@ -124,9 +124,15 @@ def test_solve_trace(capsys, friendship_file):
     lines = out.strip().splitlines()
     events = [json.loads(line) for line in lines[:-1]]
     assert any(e["event"] == "triple" for e in events)
-    assert any(e["event"] == "attempt" for e in events)
     report = json.loads(lines[-1])
     assert report["result"]["solution"] == [0]
+    # One attempt event per payload attempt, its fields in k, budget,
+    # nodes, success order.
+    attempts = [line for line in lines if '"attempt"' in line]
+    assert attempts and attempts == [
+        json.dumps({"event": "attempt", "k": a["k"], "budget": a["budget"],
+                    "nodes": a["nodes"], "success": a["success"]})
+        for a in report["result"]["attempts"]]
 
 
 def test_solve_empty_graph(capsys, tmp_path):
@@ -191,12 +197,10 @@ def test_verify_negative_control(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("workers, trials, pooled", [
-    (64, 1, 2), (3, 2, 3), (2, 0, None), (1, 2, None),
-])
-def test_verify_pool_never_exceeds_tasks(capsys, monkeypatch, workers, trials, pooled):
-    # The pool is replaced by a serial stand-in that records its size, so
-    # no worker process is started.
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the pool with a serial stand-in that records its size, so
+    no worker process is started; returns the recorded sizes."""
     import essentia.cli as cli_mod
 
     sizes = []
@@ -215,11 +219,32 @@ def test_verify_pool_never_exceeds_tasks(capsys, monkeypatch, workers, trials, p
             return map(fn, tasks)
 
     monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("workers, trials, pooled", [
+    (64, 1, 2), (3, 2, 3), (2, 0, None), (1, 2, None),
+])
+def test_verify_pool_never_exceeds_tasks(capsys, monkeypatch, pool_sizes,
+                                         workers, trials, pooled):
+    monkeypatch.setattr("essentia.cli.os.cpu_count", lambda: 64)
     code, _, _ = run(capsys, ["verify", "--problem", "vc", "--max-n", "5",
                               "--densities", "0.3", "0.5",
                               "--trials", str(trials), "--workers", str(workers)])
     assert code == 0
-    assert sizes == ([] if pooled is None else [pooled])
+    assert pool_sizes == ([] if pooled is None else [pooled])
+
+
+@pytest.mark.parametrize("cpus, pooled", [(3, 3), (1, None), (None, None)])
+def test_verify_pool_never_exceeds_cpus(capsys, monkeypatch, pool_sizes, cpus, pooled):
+    # 1,000,000 workers asked for, 6 tasks: the CPU count caps the pool,
+    # and an unknown count (None) means one process.
+    monkeypatch.setattr("essentia.cli.os.cpu_count", lambda: cpus)
+    code, _, _ = run(capsys, ["verify", "--problem", "vc", "--max-n", "4",
+                              "--densities", "0.3", "0.5", "--trials", "3",
+                              "--workers", "1000000"])
+    assert code == 0
+    assert pool_sizes == ([] if pooled is None else [pooled])
 
 
 def test_gen_deterministic(capsys, tmp_path):
@@ -230,6 +255,14 @@ def test_gen_deterministic(capsys, tmp_path):
                                   "--out", str(path)])
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_unwritable_out_is_input_error(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.gr"
+    code, _, err = run(capsys, ["gen", "--model", "gnp", "--n", "3",
+                                "--out", str(out)])
+    assert code == 3
+    assert f"cannot write {out}" in err and "Traceback" not in err
 
 
 def test_gen_planted_flower_is_friendship(capsys):

@@ -16,6 +16,7 @@ from conftest import (
     random_graph,
 )
 from essentia.graphs import Digraph, Graph, isolate
+from essentia.problems import PROBLEMS
 from essentia.recognize import (
     is_acyclic_directed,
     is_acyclic_undirected,
@@ -407,6 +408,33 @@ def test_isolating_a_vertex_never_shortens_the_structure(search, directed):
                 assert below is None
             elif below is not None:
                 assert len(below) >= len(plain)
+
+
+# Each problem's recognizer, whose no-witness is the problem's structure.
+RECOGNIZERS = {
+    "fvs": is_acyclic_undirected,
+    "oct": is_bipartite,
+    "dfvs": is_acyclic_directed,
+    "doct": is_odd_dicycle_free,
+    "cvd": is_chordal,
+}
+
+
+@pytest.mark.parametrize("problem", sorted(RECOGNIZERS))
+def test_no_witness_is_the_forbidden_structure(problem):
+    # The verdict is "no structure", and a "no" comes with exactly the
+    # structure the branching solver pivots on.
+    prob = PROBLEMS[problem]
+    rng = random.Random(f"witness-{problem}")
+    for _ in range(300):
+        n = rng.randint(1, 16)
+        p = min(1.0, rng.uniform(0.8, 3.0) / max(n - 1, 1))
+        g = random_digraph(rng, n, p / 2) if prob.directed else random_graph(rng, n, p)
+        ok, witness = RECOGNIZERS[problem](g)
+        structure = prob.forbidden_structure(g, 0)
+        assert ok == (structure is None)
+        if not ok:
+            assert witness == structure
 
 
 def brute_girth(g: Graph, odd=False):
