@@ -225,7 +225,10 @@ def _verify_one(task) -> dict:
             if not ok:
                 out["failures"].append({"k": k, "reason": msg, "graph": text})
     except oracle.OracleCapExceeded as exc:
+        # A skipped instance checked nothing; failures found before the
+        # cap stay reported.
         out["skipped"] = True
+        out["checked"] = 0
         out["reason"] = str(exc)
     return out
 
@@ -350,7 +353,7 @@ def cmd_bench(args) -> int:
         )
         row = {"instance": entry, "n": g.n, "digest": digest[:12]}
         if meta_timeout:
-            row.update({"timeout": True})
+            row.update({"timeout": True, "meta_ms": round(meta_ms, 2)})
             rows.append(row)
             continue
         direct, direct_ms, direct_timeout = _with_timeout(

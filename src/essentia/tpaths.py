@@ -14,14 +14,14 @@ correspond to matchings that alternate between original and copy edges.
 Both packers copy only the non-terminals that have an edge: an isolated
 one lies on no T-path, and its copy pair would only match itself.
 
-Each packer only builds its auxiliary graph, with the copy pairs and
-the map back to G; both then end in one shared tail, ``_pack``.  It
-matches the auxiliary graph, counts the T-paths as the matching's
-excess over the copy pairs, and returns the tuple of paths (G-vertex
-tuples) read off after normalizing the matching: doubly-used edges are
-re-paired onto the copy edges, and any non-terminal with a single
-matched copy is re-matched to its copy (size is preserved, so the
-matching stays maximum throughout).
+Each packer only builds its auxiliary graph, with the copy pairs P and
+the map back to G; both then end in one shared tail, ``_pack``, which
+reads the paths off M xor P for a maximum matching M.  Only terminals
+are uncovered by P, so a component of M xor P with one more M-edge than
+P-edges ends in two terminals and passes each non-terminal once,
+through its copy pair: it maps back to a T-path.  A maximum M leaves no
+P-heavy component, since one would augment M, so it has exactly
+|M| - |P| M-heavy components.
 """
 from __future__ import annotations
 
@@ -31,106 +31,43 @@ from .graphs import Graph
 from .matching import max_matching_adj
 
 
-def _project_and_extract(
-    terminals: frozenset[int],
-    mate: list[int],
-    back: list[int],
-    expected: int,
-    odd: bool,
-) -> list[tuple[int, ...]]:
-    """Project matched auxiliary edges to G-edges and read off the path
-    components; back maps each auxiliary vertex to its G-vertex, so a
-    matched pair with one image is a copy-pair edge and projects to
-    nothing."""
-    adj: dict[int, list[int]] = {}
-    seen_pairs = set()
-    for x, y in enumerate(mate):
-        if y == -1 or y < x:
-            continue
-        u, v = back[x], back[y]
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in seen_pairs:
-            raise AssertionError("normalization left a doubled projection")
-        seen_pairs.add(key)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for v, nbrs in adj.items():
-        if v in terminals:
-            if len(nbrs) > 1:
-                raise AssertionError("terminal with projected degree > 1")
-        elif len(nbrs) not in (0, 2):
-            raise AssertionError("non-terminal with projected degree not in {0, 2}")
-    paths = []
-    visited: set[int] = set()
-    for t in sorted(adj):
-        if t not in terminals or t in visited or not adj[t]:
-            continue
-        path = [t]
-        visited.add(t)
-        prev, cur = t, adj[t][0]
-        while True:
-            path.append(cur)
-            visited.add(cur)
-            if cur in terminals:
-                break
-            nxt = [w for w in adj[cur] if w != prev]
-            prev, cur = cur, nxt[0]
-        paths.append(tuple(path))
-    if len(paths) != expected:
-        raise AssertionError(
-            f"extracted {len(paths)} paths, matching promised {expected}"
-        )
-    if odd and any(len(p) % 2 != 0 for p in paths):
-        raise AssertionError("extracted path of even edge length in odd packing")
-    return paths
-
-
-def _normalize(mate: list[int], pairs: list[tuple[int, int]]) -> None:
-    """Re-pair doubled projections and singly-matched copy pairs in place.
-
-    pairs lists each non-terminal's two copies.  Every rewrite preserves
-    the matching size, so the matching stays maximum.
-    """
-    pair_of = {}
-    for a, b in pairs:
-        pair_of[a] = b
-        pair_of[b] = a
-    changed = True
-    while changed:
-        changed = False
-        for a, b in pairs:
-            ma, mb = mate[a], mate[b]
-            if ma == b:
-                continue
-            if ma != -1 and mb != -1:
-                # Doubled projection: both copies matched into one pair.
-                if pair_of.get(ma) == mb:
-                    wa, wb = ma, mb
-                    mate[a], mate[b] = b, a
-                    mate[wa], mate[wb] = wb, wa
-                    changed = True
-            elif ma != -1 or mb != -1:
-                # Exactly one copy matched, and not to its partner.
-                x = ma if ma != -1 else mb
-                mate[x] = -1
-                mate[a], mate[b] = b, a
-                changed = True
-
-
 def _pack(T: frozenset[int], adj: list[list[int]], pairs: list[tuple[int, int]],
           back: list[int], odd: bool) -> tuple[tuple[int, ...], ...]:
-    """The tail both packers share: a maximum matching of the auxiliary
-    graph adj exceeds its copy pairs by the packing number; normalize it
-    and read the paths off through back."""
+    """The tail both packers share: trace each M-heavy component of
+    M xor P from its smaller terminal, and drop a trace that reaches an
+    M-exposed copy (a component with as many P-edges as M-edges)."""
     mate = max_matching_adj(adj)
     nu = sum(1 for v, m in enumerate(mate) if m > v)
     count = nu - len(pairs)
     if count < 0:
         raise AssertionError("matching smaller than the copy-pair baseline")
-    _normalize(mate, pairs)
-    return tuple(_project_and_extract(T, mate, back, count, odd))
+    partner = {}
+    for a, b in pairs:
+        partner[a] = b
+        partner[b] = a
+    paths = []
+    ends: set[int] = set()
+    for x, t in enumerate(back):
+        if t not in T or x in ends:
+            continue
+        path = [t]
+        y = mate[x]
+        # y is a copy, a terminal, or -1 (t or the last copy is M-exposed).
+        while y in partner:
+            path.append(back[y])
+            y = mate[partner[y]]
+        if y == -1:
+            continue
+        ends.add(y)
+        paths.append((*path, back[y]))
+    if len(paths) != count:
+        raise AssertionError(f"traced {len(paths)} paths, matching promised {count}")
+    if odd and any(len(p) % 2 != 0 for p in paths):
+        raise AssertionError("traced path of even edge length in odd packing")
+    used = [v for p in paths for v in p]
+    if len(set(used)) != len(used):
+        raise AssertionError("traced paths are not simple and pairwise vertex-disjoint")
+    return tuple(paths)
 
 
 def max_T_path_packing(g: Graph, terminals: Iterable[int]) -> tuple[tuple[int, ...], ...]:

@@ -182,6 +182,20 @@ def test_verify_all_skipped_vacuous(capsys):
     assert "vacuous" in out
 
 
+def test_verify_capped_instances_check_nothing(capsys):
+    # Each instance passes its k = opt - 1 check, then hits the essential
+    # cap at k = opt: it is skipped, and its earlier check does not count.
+    argv = ["verify", "--problem", "fvs", "--trials", "4", "--max-n", "9",
+            "--cap-ess", "3", "--densities", "0.3"]
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["skipped"] == 4
+    assert result["checked"] == 0 and result["vacuous"] is True
+    code, out, _ = run(capsys, argv)
+    assert "no instance was checked; vacuous pass" in out
+
+
 def test_verify_negative_control(capsys, monkeypatch):
     # Break the detector and watch verification fail.
     import essentia.cli as cli_mod
@@ -342,9 +356,14 @@ def test_bench_tiny_timeout(capsys, tmp_path):
     code, out, _ = run(capsys, ["bench", "--problem", "fvs", "--suite", str(suite),
                                 "--timeout", "1e-6", "--json"])
     assert code == 0
-    rows = json.loads(out)["result"]["rows"]
+    report = json.loads(out)
+    rows = report["result"]["rows"]
     assert len(rows) == 2 and all(r["timeout"] for r in rows)
     assert signal.getsignal(signal.SIGALRM) is before
+    # A timed-out solve still took time, and the total counts it.
+    assert all("meta_ms" in r for r in rows)
+    assert report["timings"]["total_ms"] == pytest.approx(
+        sum(r["meta_ms"] + r.get("direct_ms", 0) for r in rows))
 
 
 def test_bench_mismatch_rejected(capsys, tmp_path, c5_file):

@@ -1,4 +1,5 @@
-"""T-path packings vs exhaustive enumeration, and the bipartite duality."""
+"""T-path packings vs exhaustive enumeration and vs the normalizing
+reference tail, and the bipartite duality."""
 from __future__ import annotations
 
 import random
@@ -6,10 +7,13 @@ import random
 import pytest
 
 from conftest import cycle_graph, path_graph, random_bipartite, random_graph
+from essentia import tpaths
+from essentia.generate import gnp
 from essentia.graphs import Graph
 from essentia.recognize import is_bipartite
 from essentia.tpaths import max_T_path_packing, max_odd_T_path_packing
 from helpers import min_odd_T_path_cover_bipartite
+from reference_tpaths import reference_pack
 
 
 def all_t_paths(g: Graph, T: set[int], odd=False) -> list[tuple[int, ...]]:
@@ -121,6 +125,32 @@ def test_odd_random_vs_brute(seed):
     pk = max_odd_T_path_packing(g, T)
     check_packing(g, T, pk, odd=True)
     assert len(pk) == brute_max_packing(g, T, odd=True)
+
+
+@pytest.mark.parametrize("n", [5, 9, 15, 25, 45])
+@pytest.mark.parametrize("p", [0.1, 0.2, 0.35])
+def test_packing_matches_normalized_reference(monkeypatch, n, p):
+    # Beyond brute-force reach: the same paths, in the same order and
+    # direction, as the reference reads off the same auxiliary graph.
+    calls = []
+    real_pack = tpaths._pack
+
+    def recording_pack(*args, **kwargs):
+        result = real_pack(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(tpaths, "_pack", recording_pack)
+    rng = random.Random(n * 1000 + int(p * 100))
+    for seed in range(3):
+        g = gnp(n, p, seed)
+        for q in (0.2, 0.45, 0.7):
+            T = {v for v in range(n) if rng.random() < q}
+            check_packing(g, T, max_T_path_packing(g, T))
+            check_packing(g, T, max_odd_T_path_packing(g, T), odd=True)
+    assert len(calls) == 18
+    for args, kwargs, result in calls:
+        assert result == reference_pack(*args, **kwargs)
 
 
 def test_cover_named():
