@@ -27,7 +27,8 @@ the same steps as on the whole graph) and map the certificates back; each
 kernel call is then sized by its component, not by n.  vc stays whole:
 it is one matching of the double cover, not one kernel per vertex.  cvd
 stays whole too: its avoiding-LP cost is a sum over the whole graph, and
-each pinned LP starts from every hole the earlier ones found.
+all n pinned LPs run on one ``lp.PooledLP``, each pin moved by a cost
+change from the last optimal basis, with every hole found so far.
 
 ``detector_factory`` scores once and sorts the vertices by score, so the
 detector for each k is a binary search plus sorting what it returns.
@@ -41,7 +42,7 @@ from typing import Callable
 
 from .flows import min_vertex_separator
 from .graphs import Digraph, Graph, components, induced, isolate
-from .lp import LPState, solve_v_avoiding_lp
+from .lp import LPState, PooledLP, solve_v_avoiding_lp
 from .matching import min_vertex_cover_bipartite
 from .problems import PROBLEMS
 from .tpaths import max_T_path_packing, max_odd_T_path_packing
@@ -191,15 +192,9 @@ def _vc_scores(g: Graph) -> list[tuple[Fraction, Fraction]]:
 
 
 def _cvd_scores(g: Graph) -> list[tuple[Fraction, LPState]]:
-    states = []
-    pool: list[tuple[int, ...]] = []
-    for v in range(g.n):
-        state = solve_v_avoiding_lp(g, v, pool)
-        # Carry discovered holes forward; they are valid cuts for every
-        # pinned vertex and save oracle rounds.
-        pool = list(state.pool)
-        states.append((state.cost, state))
-    return states
+    pooled = PooledLP(g)
+    states = [solve_v_avoiding_lp(g, v, pooled) for v in range(g.n)]
+    return [(state.cost, state) for state in states]
 
 
 def _per_component(score_fn: Callable) -> Callable:

@@ -8,15 +8,27 @@ to zero.  Constraints are generated on demand: solve the pooled LP
 exactly, ask the separation oracle for a violated hole, add it, repeat.
 Each round adds a hole not yet in the pool, so the loop terminates.
 
-One ``simplex.Tableau`` serves a whole avoiding LP.  It holds the dual,
-a fractional packing of pooled holes (weight y_h per hole, every vertex
-u != v loaded at most 1), so each cut is a new column and the simplex
-re-optimises from the last basis.  The solved state carries that packing
-as its certificate: its total equals the cost.  The oracle scales the
-current assignment to integers with ``simplex.integers``, as the tableau
-does on entry, and takes the first hole lighter than one from
-``recognize.light_holes``, the hole search that the branching's
-``shortest_hole`` runs under unit weights.
+One ``PooledLP`` serves every avoiding LP of a graph.  Its
+``simplex.Tableau`` holds the dual, a fractional packing of pooled holes
+(weight y_h per hole, vertex u loaded at most its cost c_u), so each cut
+is a new column and the simplex re-optimises from the last basis.  The
+tableau covers every vertex at unit cost, and pins v by raising c_v to
+n.  That bound never binds: every hole has at least three vertices other
+than v, each loaded at most 1, so a packing totals at most (n - 1) / 3 <
+n and loads v less than n.  v's slack stays basic at every optimum, so
+x_v = 0 exactly, and the optimum is the pinned LP's; the solve asserts
+x_v = 0.  Moving the pin from v to w lowers c_v back to 1 and raises c_w
+to n; the next solve restores the basis by dual simplex and the cut loop
+goes on from there.  A pooled hole stays a valid cut for every pin.  The
+solved state carries the packing as its certificate: its total equals the
+cost.
+
+The oracle scales the current assignment to integers with
+``simplex.integers``, as the tableau does on entry, and takes the first
+hole lighter than one from ``recognize.light_holes``, the hole search
+that the branching's ``shortest_hole`` runs under unit weights.  It is a
+pure function of (G, x), so the pooled LP keeps the assignments it has
+certified and does not ask again when a later pin lands on one of them.
 
 Upper bounds x_u <= 1 never bind at an optimum of a pure covering
 objective, so the simplex tableau only carries the covering rows; the
@@ -77,53 +89,76 @@ def _assert_hole(g: Graph, hole: Sequence[int]) -> None:
                 raise AssertionError(f"hole {hole} has a chord or gap")
 
 
+class PooledLP:
+    """One graph's hole-covering LP, kept warm across pinned vertices: a
+    dual tableau over every vertex (unit costs but the pinned vertex's),
+    the pooled holes with one covering row each, and the assignments the
+    separation oracle has certified."""
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+        self.tableau = Tableau([1] * g.n)
+        self.pinned: int | None = None
+        self.pool: list[tuple[int, ...]] = []
+        self.rows: list[list[int]] = []
+        self.seen: set[frozenset[int]] = set()
+        self.certified: set[tuple[Fraction, ...]] = set()
+
+    def pin(self, v: int) -> None:
+        """Move the pin to v: its cost goes to n, the old pin's back to 1."""
+        if self.pinned is not None:
+            self.tableau.shift(self.pinned, 1 - self.g.n)
+        self.tableau.shift(v, self.g.n - 1)
+        self.pinned = v
+
+    def add(self, hole: Sequence[int]) -> None:
+        key = frozenset(hole)
+        if key in self.seen:
+            raise AssertionError("separation oracle repeated a pooled hole")
+        self.seen.add(key)
+        self.pool.append(tuple(hole))
+        self.rows.append([int(u in key) for u in range(self.g.n)])
+
+    def solve(self) -> list[Fraction]:
+        """Re-optimise over the pooled holes; the optimal assignment."""
+        rows = self.rows
+        _, x = simplex_min(self.tableau.costs, rows, [1] * len(rows), self.tableau)
+        if not all(ZERO <= value <= ONE for value in x):
+            raise AssertionError("assignment escaped the unit box")
+        if x[self.pinned]:
+            raise AssertionError("the pinned vertex carries weight")
+        return x
+
+
 def solve_v_avoiding_lp(
-    g: Graph, v: int, pool: Sequence[Sequence[int]] = ()
+    g: Graph, v: int, pooled: PooledLP | None = None
 ) -> LPState:
     """Minimize total weight over assignments with x_v = 0 satisfying
     every hole constraint, by cutting planes over one warm exact simplex.
 
-    An optional starting pool warms up the constraint set (the detector
-    reuses pools across vertices to cut down oracle rounds).
+    A pooled LP of g (the detector passes one for all of g's vertices)
+    starts from its holes and its last basis; without one, the solve
+    starts from a fresh one.
     """
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
-    variables = [u for u in range(g.n) if u != v]
-    costs = [1] * len(variables)
-    tableau = Tableau(costs)
-    active: list[tuple[int, ...]] = []
-    rows: list[list[int]] = []
-    seen: set[frozenset[int]] = set()
-    x = [ZERO] * g.n
-
-    def add_constraint(hole: Sequence[int]) -> None:
-        key = frozenset(hole)
-        if key in seen:
-            raise AssertionError("separation oracle repeated a pooled hole")
-        seen.add(key)
-        active.append(tuple(hole))
-        rows.append([int(u in key) for u in variables])
-
-    def resolve() -> None:
-        _, sol = simplex_min(costs, rows, [1] * len(rows), tableau)
-        for u, value in zip(variables, sol):
-            if not (ZERO <= value <= ONE):
-                raise AssertionError("assignment escaped the unit box")
-            x[u] = value
-
-    for hole in pool:
-        if frozenset(hole) not in seen:
-            add_constraint(hole)
-    if active:
-        resolve()
-
-    while (hole := separation_oracle_holes(g, x)) is not None:
-        add_constraint(hole)
-        resolve()
+    if pooled is None:
+        pooled = PooledLP(g)
+    elif pooled.g is not g:
+        raise ValueError("the pooled LP was built for another graph")
+    pooled.pin(v)
+    x = pooled.solve()
+    while (key := tuple(x)) not in pooled.certified:
+        hole = separation_oracle_holes(g, x)
+        if hole is None:
+            pooled.certified.add(key)
+            break
+        pooled.add(hole)
+        x = pooled.solve()
     cost = sum(x, ZERO)
-    packing = tuple(tableau.dual())
-    _assert_packing(g.n, v, active, packing, cost)
-    return LPState(v, cost, tuple(x), tuple(active), packing)
+    packing = tuple(pooled.tableau.dual())
+    _assert_packing(g.n, v, pooled.pool, packing, cost)
+    return LPState(v, cost, key, tuple(pooled.pool), packing)
 
 
 def _assert_packing(n: int, v: int, pool, packing, cost: Fraction) -> None:

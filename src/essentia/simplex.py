@@ -12,6 +12,17 @@ no columns.  Pivots follow Bland's rule: the entering column is the
 smallest index with negative reduced cost, the leaving row breaks ratio
 ties by smallest basic variable index.
 
+A kept tableau can also change its costs.  The costs are the dual's
+right-hand sides, so ``Tableau.shift`` moves column 0 by delta times the
+cost's slack column (B^-1 e_u) and the objective by delta times x_u; the
+reduced costs stay non-negative, and the next ``simplex_min`` restores a
+feasible column 0 by dual simplex before it adds cuts.  Each restore
+pivot leaves on the row with the most negative right-hand side and
+enters the column of least ratio z_j / -a_j, ties to the smaller index;
+once a basis repeats within one restore, the leaving row becomes the
+negative one with the smallest basic variable (Bland's rule for the dual
+simplex), which cannot cycle.
+
 The tableau is fraction-free (Edmonds; Bareiss).  Costs and constraints
 are scaled to integers on entry, and the rational tableau T is stored as
 M = D * T, where D > 0 is the absolute determinant of the current basis.
@@ -88,16 +99,46 @@ def _optimize(tab: list[list[int]], basis: list[int], d: int) -> int:
         basis[leave] = entering
 
 
+def _restore(tab: list[list[int]], basis: list[int], d: int) -> int:
+    """Run dual simplex pivots on a tableau whose reduced costs are
+    non-negative until column 0 is too.  Returns D."""
+    m = len(basis)
+    z = tab[m]
+    seen = {frozenset(basis)}
+    bland = False
+    while True:
+        negative = [i for i in range(m) if tab[i][0] < 0]
+        if not negative:
+            return d
+        key = (lambda i: basis[i]) if bland else (lambda i: tab[i][0])
+        leave = min(negative, key=key)
+        tr = tab[leave]
+        entering = -1
+        for j in range(1, len(tr)):
+            if tr[j] < 0 and (entering < 0 or z[j] * tr[entering] > z[entering] * tr[j]):
+                entering = j
+        if entering < 0:
+            raise AssertionError("the dual lost its feasible point y = 0")
+        d = _pivot(tab, leave, entering, d)
+        z = tab[m]
+        basis[leave] = entering
+        bases = len(seen)
+        seen.add(frozenset(basis))
+        bland = bland or len(seen) == bases
+
+
 class Tableau:
     """The dual tableau of min c . x, A x >= b, x >= 0, kept between
     solves.  Column 0 holds the right-hand sides, columns 1..nx the slacks
     of A^T y <= c, then one column per constraint in the order added; the
-    last row holds the reduced costs.  After ``Infeasible`` it is spent."""
+    last row holds the reduced costs.  ``costs`` holds the current costs.
+    After ``Infeasible`` it is spent."""
 
     def __init__(self, costs: Sequence) -> None:
         c, self.scale = integers(costs)
         if any(cu < 0 for cu in c):
             raise ValueError("costs must be non-negative")
+        self.costs = [Fraction(cu, self.scale) for cu in c]
         nx = len(c)
         self.tab = [[cu] + [0] * u + [1] + [0] * (nx - u - 1) for u, cu in enumerate(c)]
         self.tab.append([0] * (nx + 1))
@@ -114,6 +155,25 @@ class Tableau:
             tr.append(sum(tr[j] * au for j, au in a))
         self.tab[-1][-1] -= self.d * b
         self.row_scales.append(s)
+
+    def shift(self, u: int, delta) -> None:
+        """Add delta to cost u, keeping it non-negative (ValueError
+        otherwise).  Column 0 of every row, the reduced costs' included,
+        moves by delta times u's slack column; the next ``simplex_min``
+        restores the basis by dual simplex."""
+        delta = Fraction(delta)
+        cost = self.costs[u] + delta
+        if cost < 0:
+            raise ValueError("costs must be non-negative")
+        step = delta * self.scale
+        if step.denominator != 1:
+            # Rescale the costs so that the new one is an integer too.
+            for tr in self.tab:
+                tr[0] *= step.denominator
+            self.scale *= step.denominator
+        for tr in self.tab:
+            tr[0] += step.numerator * tr[u + 1]
+        self.costs[u] = cost
 
     def dual(self) -> list[Fraction]:
         """y per constraint, in the order added, on the unscaled rows."""
@@ -136,13 +196,15 @@ def simplex_min(
 
     Entries may be ints, Fractions or anything Fraction() accepts; costs
     must be non-negative (ValueError otherwise).  A caller-held tableau
-    built from the same costs already holds the first rows, one per entry
-    of its ``row_scales``; the rest are appended and the solve starts from
-    its last basis.  Returns (optimal value, optimal x); ``tableau.dual()``
-    then gives the dual certificate.  Raises Infeasible.
+    holding the same costs already holds the first rows, one per entry of
+    its ``row_scales``; its basis is restored after any ``shift``, the
+    rest of the rows are appended, and the solve starts from that basis.
+    Returns (optimal value, optimal x); ``tableau.dual()`` then gives the
+    dual certificate.  Raises Infeasible.
     """
     if tableau is None:
         tableau = Tableau(costs)
+    tableau.d = _restore(tableau.tab, tableau.basis, tableau.d)
     for i in range(len(tableau.row_scales), len(rows)):
         tableau.add(rows[i], rhs[i])
     tableau.d = d = _optimize(tableau.tab, tableau.basis, tableau.d)

@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -373,3 +377,13 @@ def test_bench_mismatch_rejected(capsys, tmp_path, c5_file):
                                 "--suite", str(suite)])
     assert code == 3
     assert "expected directed" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    # From a checkout, as the tests import it: PYTHONPATH=src.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": "src"}
+    proc = subprocess.run([sys.executable, "-m", "essentia", "--help"], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "detect" in proc.stdout

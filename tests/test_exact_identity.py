@@ -139,6 +139,56 @@ def test_covering_simplex_matches_fraction_reference(lp_args):
     check_certified(lp_args)
 
 
+@st.composite
+def repriced_covering_lps(draw):
+    """Covering LPs drawn from a few distinct 0/1 rows, so equal rows and
+    degenerate bases are common, and steps that each set one or two costs
+    to new non-negative values and may append more rows."""
+    nx = draw(st.integers(1, 7))
+    row = st.lists(st.integers(0, 1), min_size=nx, max_size=nx).filter(any)
+    distinct = draw(st.lists(row, min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=10))
+    costs = draw(st.lists(COST, min_size=nx, max_size=nx))
+    change = st.tuples(st.integers(0, nx - 1), COST)
+    steps = draw(st.lists(
+        st.tuples(st.lists(change, min_size=1, max_size=2), st.integers(0, 2)),
+        min_size=1, max_size=6))
+    return costs, rows, steps
+
+
+@given(repriced_covering_lps())
+@settings(max_examples=300, deadline=None)
+# A pin move: unit costs, one vertex raised to n and moved to the next.
+@example(([1, 1, 1, 1], [[1, 1, 1, 1], [0, 1, 1, 1], [1, 1, 1, 0], [1, 1, 1, 1]],
+          [([(0, 4)], 0), ([(0, 1), (1, 4)], 1), ([(1, 1), (2, 4)], 0)]))
+def test_shifted_costs_match_fraction_reference(case):
+    # Each step shifts costs on a solved tableau; the dual simplex restore
+    # (and the primal cuts after it) must reach the cold optimum on the
+    # new costs, with both certificates exact.
+    costs, rows, steps = case
+    costs = list(costs)
+    rhs = [1] * len(rows)
+    warm = Tableau(costs)
+    k = 1
+    simplex_min(costs, rows[:k], rhs[:k], warm)
+    for changes, more in steps:
+        for u, cost in changes:
+            warm.shift(u, cost - costs[u])
+            costs[u] = cost
+        assert warm.costs == costs
+        k = min(len(rows), k + more)
+        value, x = simplex_min(costs, rows[:k], rhs[:k], warm)
+        assert value == simplex_min_fraction(costs, rows[:k], rhs[:k])[0]
+        assert_certified(costs, rows[:k], rhs[:k], value, x, warm.dual())
+
+
+def test_shift_rejects_negative_costs():
+    warm = Tableau([1, 2])
+    with pytest.raises(ValueError):
+        warm.shift(1, -3)
+    assert warm.costs == [1, 2]
+
+
 @pytest.mark.parametrize("costs", [[-1], [1, Fraction(-1, 2)], [0, -3, 2]])
 def test_simplex_rejects_negative_costs(costs):
     with pytest.raises(ValueError) as err:

@@ -13,11 +13,13 @@ from essentia.detect import _cvd_scores, detect
 from essentia.generate import gnp, planted_flower
 from essentia.graphs import Graph
 from essentia.lp import (
+    PooledLP,
     lp_dump_text,
     separation_oracle_holes,
     solve_v_avoiding_lp,
 )
 from essentia.simplex import simplex_min
+from reference_lp import avoiding_lp_cost_reference
 
 ZERO, ONE, HALF = Fraction(0), Fraction(1), Fraction(1, 2)
 
@@ -206,8 +208,8 @@ def test_lp_cost_lower_bounds_integral_avoiding(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_cvd_factory_pool_reuse_matches_fresh(seed):
-    # The detector threads one hole pool through all pinned LPs; costs
-    # must match fresh, pool-free solves exactly.
+    # The detector runs all pinned LPs on one pooled LP; its selections
+    # must match fresh solves exactly.
     from essentia.detect import detector_factory
 
     rng = random.Random(123_000 + seed)
@@ -217,6 +219,28 @@ def test_cvd_factory_pool_reuse_matches_fresh(seed):
         chosen = factory(k).vertices
         fresh = {v for v in range(g.n) if solve_v_avoiding_lp(g, v).cost > k}
         assert chosen == fresh
+
+
+def test_warm_pins_match_cold_solves():
+    # One pooled LP moves its pin across every vertex; each cost must be
+    # the one a fresh solve (and, at small n, the Fraction reference's
+    # cold re-solves) gives for that vertex alone.
+    for seed in range(30):
+        rng = random.Random(70_000 + seed)
+        g = random_graph(rng, rng.randint(5, 9), rng.choice([0.3, 0.45]))
+        costs = [cost for cost, _ in _cvd_scores(g)]
+        assert costs == [avoiding_lp_cost_reference(g, v) for v in range(g.n)]
+    for n in range(18, 23):
+        g = gnp(n, 0.3, 0)
+        costs = [cost for cost, _ in _cvd_scores(g)]
+        assert costs == [solve_v_avoiding_lp(g, v).cost for v in range(n)]
+
+
+def test_pooled_lp_belongs_to_its_graph():
+    pooled = PooledLP(cycle_graph(4))
+    assert solve_v_avoiding_lp(pooled.g, 0, pooled).cost == 1
+    with pytest.raises(ValueError):
+        solve_v_avoiding_lp(cycle_graph(4), 1, pooled)
 
 
 def assert_lp_certified(g: Graph, state) -> None:

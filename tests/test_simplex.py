@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from scipy.optimize import linprog
 
-from essentia.simplex import Infeasible, simplex_min
+from essentia.simplex import Infeasible, _restore, simplex_min
 
 
 def test_tiny_known():
@@ -76,3 +76,27 @@ def test_random_vs_scipy(seed):
     )
     assert ref.status == 0
     assert abs(float(value) - ref.fun) < 1e-7
+
+
+def test_restore_terminates_where_the_most_negative_rule_cycles():
+    # Chvatal's cycling example (Linear Programming, ch. 3): max 10x1 -
+    # 57x2 - 9x3 - 24x4 over 0.5x1 - 5.5x2 - 2.5x3 + 9x4 <= 0, 0.5x1 -
+    # 1.5x2 - 0.5x3 + x4 <= 0, x1 <= 1, whose largest-coefficient primal
+    # simplex with smallest-subscript ties cycles through six bases.  The
+    # dual simplex on its negated transpose makes those same pivots, so
+    # the restore's most-negative rule alone would cycle; the switch to
+    # Bland's rule on the repeated basis ends it.  Rows are x1..x4 (basic,
+    # columns 1-4), columns 5-7 the slacks, stored fraction-free as
+    # 8 * T with D = 8.
+    h = Fraction(1, 2)
+    rows = [(-10, -h, -h, -1), (57, 11 * h, 3 * h, 0), (9, 5 * h, h, 0), (24, -9, -1, 0)]
+    t = [[b] + [int(i == k) for i in range(4)] + list(a) for k, (b, *a) in enumerate(rows)]
+    t.append([0, 0, 0, 0, 0, 0, 0, 1])
+    tab = [[int(8 * a) for a in row] for row in t]
+    basis = [1, 2, 3, 4]
+    d = _restore(tab, basis, 8)
+    assert all(row[0] >= 0 for row in tab[:4])
+    assert min(tab[4][1:]) >= 0
+    # The value is minus the primal optimum, 1 (x1 = x3 = 1).
+    assert Fraction(tab[4][0], d) == -1
+    assert sorted(basis) == [2, 4, 6, 7]
