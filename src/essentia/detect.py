@@ -58,7 +58,7 @@ class FlowerCertificate:
     def relabel(self, vs: tuple[int, ...]) -> FlowerCertificate:
         """The certificate with every vertex i renamed vs[i]."""
         return FlowerCertificate(
-            vs[self.center], tuple(tuple(vs[x] for x in p) for p in self.petals))
+            vs[self.center], tuple([tuple([vs[x] for x in p]) for p in self.petals]))
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class DoctCertificate:
         return DoctCertificate(
             vs[self.vertex],
             frozenset((vs[x], parity) for x, parity in self.separator),
-            tuple(tuple((vs[x], parity) for x, parity in p) for p in self.paths),
+            tuple([tuple([(vs[x], parity) for x, parity in p]) for p in self.paths]),
         )
 
 
@@ -119,7 +119,7 @@ def _flower_number(
     """Petals through v from a T-path packing in G - v with the neighbors
     of v as terminals, each closed through v and shortened along chords."""
     packing = packer(isolate(g, v), g.neighbors(v))
-    petals = tuple(_shorten([v, *p], g.has_edge, odd) for p in packing)
+    petals = tuple([_shorten([v, *p], g.has_edge, odd) for p in packing])
     return len(packing), FlowerCertificate(v, petals)
 
 
@@ -139,7 +139,7 @@ def flower_number_dfvs(d: Digraph, v: int) -> tuple[int, FlowerCertificate]:
     """Maximum number of directed cycles pairwise meeting only at v: the
     Menger system from v back to v."""
     res = min_vertex_separator(d, v, v)
-    petals = tuple(_shorten(list(p[:-1]), d.has_arc) for p in res.paths)
+    petals = tuple([_shorten(list(p[:-1]), d.has_arc) for p in res.paths])
     return res.size, FlowerCertificate(v, petals)
 
 
@@ -181,7 +181,7 @@ def _doct_scores(d: Digraph) -> list[tuple[int, DoctCertificate]]:
         cert = DoctCertificate(
             v,
             frozenset(divmod(x, 2) for x in res.separator),
-            tuple(tuple(divmod(x, 2) for x in p) for p in res.paths),
+            tuple([tuple([divmod(x, 2) for x in p]) for p in res.paths]),
         )
         out.append((res.size, cert))
     return out

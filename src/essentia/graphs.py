@@ -141,7 +141,7 @@ def _drop(rows: tuple, w: int, at: tuple[int, ...]) -> tuple:
     other row is shared with the input."""
     rows = list(rows)
     for v in at:
-        rows[v] = tuple(x for x in rows[v] if x != w)
+        rows[v] = tuple([x for x in rows[v] if x != w])
     rows[w] = ()
     return tuple(rows)
 
@@ -198,7 +198,7 @@ def induced(g: Graph | Digraph, vs: Sequence[int]) -> Graph | Digraph:
     pos = {v: i for i, v in enumerate(vs)}
 
     def rows(source: tuple) -> tuple:
-        return tuple(tuple(pos[x] for x in source[v] if x in pos) for v in vs)
+        return tuple([tuple([pos[x] for x in source[v] if x in pos]) for v in vs])
 
     h = type(g).__new__(type(g))
     h.n = len(vs)

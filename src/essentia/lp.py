@@ -23,29 +23,28 @@ goes on from there.  A pooled hole stays a valid cut for every pin.  The
 solved state carries the packing as its certificate: its total equals the
 cost.
 
-The oracle scales the current assignment to integers with
-``simplex.integers``, as the tableau does on entry, and takes the first
-hole lighter than one from ``recognize.light_holes``, the hole search
-that the branching's ``shortest_hole`` runs under unit weights.  It is a
-pure function of (G, x), so the pooled LP keeps the assignments it has
-certified and does not ask again when a later pin lands on one of them.
-
-Upper bounds x_u <= 1 never bind at an optimum of a pure covering
-objective, so the simplex tableau only carries the covering rows; the
-returned assignment is checked to stay within the box.
+The LP runs on integers from pivot to oracle.  ``simplex_min`` returns x
+as integers over the basis determinant, and ``PooledLP.solve`` reduces
+them to lowest terms (w, d), x_u = w_u / d.  Bounds x_u <= 1 never bind
+at an optimum of a pure covering objective, so the tableau carries only
+the covering rows; the unit box and the pin are checked on w and d.  The
+oracle takes them as they are and returns the first hole lighter than d
+from ``recognize.light_holes``, the hole search that the branching's
+``shortest_hole`` runs under unit weights.  It is a pure function of
+(G, x), so the pooled LP keeps the (w, d) pairs it has certified and does
+not ask again when a later pin lands on one of them.  Fractions are made
+once per pinned vertex, for the fields of the returned ``LPState``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .graphs import Graph
 from .recognize import light_holes
-from .simplex import Tableau, integers, simplex_min
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .simplex import Tableau, simplex_min
 
 
 @dataclass(frozen=True)
@@ -61,17 +60,13 @@ class LPState:
 
 
 def separation_oracle_holes(
-    g: Graph, weights: Sequence[Fraction]
+    g: Graph, weights: Sequence[int], total: int
 ) -> tuple[int, ...] | None:
     """Return a hole of total weight < 1, or None when every hole
-    constraint is satisfied.  Weights are non-negative rationals.
-
-    The weights are scaled to integers over their common denominator L,
-    so "weight < 1" is "sum < L", and the first hole that
-    ``recognize.light_holes`` yields below L is returned.
-    """
-    w, scale = integers(weights)
-    hole = next(light_holes(g, w, scale), None)
+    constraint is satisfied, for the assignment x_u = weights[u] / total
+    (non-negative integers, total > 0): the first hole that
+    ``recognize.light_holes`` yields below total."""
+    hole = next(light_holes(g, weights, total), None)
     if hole is not None:
         _assert_hole(g, hole)
     return hole
@@ -102,7 +97,7 @@ class PooledLP:
         self.pool: list[tuple[int, ...]] = []
         self.rows: list[list[int]] = []
         self.seen: set[frozenset[int]] = set()
-        self.certified: set[tuple[Fraction, ...]] = set()
+        self.certified: set[tuple[tuple[int, ...], int]] = set()
 
     def pin(self, v: int) -> None:
         """Move the pin to v: its cost goes to n, the old pin's back to 1."""
@@ -119,15 +114,19 @@ class PooledLP:
         self.pool.append(tuple(hole))
         self.rows.append([int(u in key) for u in range(self.g.n)])
 
-    def solve(self) -> list[Fraction]:
-        """Re-optimise over the pooled holes; the optimal assignment."""
+    def solve(self) -> tuple[tuple[int, ...], int]:
+        """Re-optimise over the pooled holes; the optimal assignment as
+        (w, d) in lowest terms, x_u = w[u] / d."""
         rows = self.rows
-        _, x = simplex_min(self.tableau.costs, rows, [1] * len(rows), self.tableau)
-        if not all(ZERO <= value <= ONE for value in x):
+        _, x, d = simplex_min(self.tableau.costs, rows, [1] * len(rows), self.tableau)
+        common = gcd(d, *x)
+        d //= common
+        w = tuple([xu // common for xu in x])
+        if not all(0 <= wu <= d for wu in w):
             raise AssertionError("assignment escaped the unit box")
-        if x[self.pinned]:
+        if w[self.pinned]:
             raise AssertionError("the pinned vertex carries weight")
-        return x
+        return w, d
 
 
 def solve_v_avoiding_lp(
@@ -147,32 +146,33 @@ def solve_v_avoiding_lp(
     elif pooled.g is not g:
         raise ValueError("the pooled LP was built for another graph")
     pooled.pin(v)
-    x = pooled.solve()
-    while (key := tuple(x)) not in pooled.certified:
-        hole = separation_oracle_holes(g, x)
+    point = pooled.solve()
+    while point not in pooled.certified:
+        hole = separation_oracle_holes(g, *point)
         if hole is None:
-            pooled.certified.add(key)
+            pooled.certified.add(point)
             break
         pooled.add(hole)
-        x = pooled.solve()
-    cost = sum(x, ZERO)
-    packing = tuple(pooled.tableau.dual())
-    _assert_packing(g.n, v, pooled.pool, packing, cost)
-    return LPState(v, cost, key, tuple(pooled.pool), packing)
+        point = pooled.solve()
+    w, d = point
+    y, dy = pooled.tableau.dual(), pooled.tableau.d
+    _assert_packing(g.n, v, pooled.pool, (y, dy), (sum(w), d))
+    return LPState(
+        v, Fraction(sum(w), d), tuple([Fraction(wu, d) for wu in w]),
+        tuple(pooled.pool), tuple([Fraction(yh, dy) for yh in y]))
 
 
-def _assert_packing(n: int, v: int, pool, packing, cost: Fraction) -> None:
-    """The packing certifies the cost: y >= 0, every vertex other than v
-    loaded at most 1, and the total equal to the cost (in integers over
-    the weights' common denominator L)."""
-    w, scale = integers(packing)
+def _assert_packing(n: int, v: int, pool, packing, cost) -> None:
+    """The packing certifies the cost, both given as (integers,
+    denominator): y >= 0, every vertex other than v loaded at most 1, and
+    the total equal to the cost."""
+    (y, dy), (c, d) = packing, cost
     load = [0] * n
-    for hole, wy in zip(pool, w):
-        for u in hole if wy else ():
-            load[u] += wy
+    for hole, yh in zip(pool, y):
+        for u in hole if yh else ():
+            load[u] += yh
     load[v] = 0
-    if min(w, default=0) < 0 or max(load, default=0) > scale \
-            or Fraction(sum(w), scale) != cost:
+    if min(y, default=0) < 0 or max(load, default=0) > dy or sum(y) * d != c * dy:
         raise AssertionError("packing does not certify the cost")
 
 

@@ -1,16 +1,16 @@
-"""Exact linear programming over rationals, on integers.
+"""Exact linear programming on integers.
 
-``simplex_min`` minimizes c . x subject to A x >= b, x >= 0, for costs
-c >= 0, by the primal simplex on its dual, max b . y subject to
-A^T y <= c, y >= 0.  The slack basis y = 0 is feasible, so there is no
-phase 1; the dual is unbounded (the primal infeasible) or optimal, and
-then x is read off the slacks' reduced costs and b . y = c . x certifies
-it.  The tableau has a row per primal variable and a column per
-constraint, so a caller that keeps its ``Tableau`` appends each cut as a
-column and re-optimises from the last basis; a cold solve starts from
-no columns.  Pivots follow Bland's rule: the entering column is the
-smallest index with negative reduced cost, the leaving row breaks ratio
-ties by smallest basic variable index.
+``simplex_min`` minimizes c . x subject to A x >= b, x >= 0, for integer
+data and costs c >= 0, by the primal simplex on its dual, max b . y
+subject to A^T y <= c, y >= 0.  The slack basis y = 0 is feasible, so
+there is no phase 1; the dual is unbounded (the primal infeasible) or
+optimal, and then x is read off the slacks' reduced costs and b . y =
+c . x certifies it.  The tableau has a row per primal variable and a
+column per constraint, so a caller that keeps its ``Tableau`` appends
+each cut as a column and re-optimises from the last basis; a cold solve
+starts from no columns.  Pivots follow Bland's rule: the entering column
+is the smallest index with negative reduced cost, the leaving row breaks
+ratio ties by smallest basic variable index.
 
 A kept tableau can also change its costs.  The costs are the dual's
 right-hand sides, so ``Tableau.shift`` moves column 0 by delta times the
@@ -23,22 +23,23 @@ once a basis repeats within one restore, the leaving row becomes the
 negative one with the smallest basic variable (Bland's rule for the dual
 simplex), which cannot cycle.
 
-The tableau is fraction-free (Edmonds; Bareiss).  Costs and constraints
-are scaled to integers on entry, and the rational tableau T is stored as
-M = D * T, where D > 0 is the absolute determinant of the current basis.
-A pivot on p = M[r][c] keeps row r and maps every other row i to
-(p * M[i] - M[i][c] * M[r]) / D, a division that is always exact by
-Cramer's rule; D becomes |p|, with all rows negated when p < 0.  The
-slack columns of M hold D * B^-1, so a new column is those columns
+The tableau is fraction-free (Edmonds; Bareiss): the rational tableau T
+is stored as M = D * T, where D > 0 is the absolute determinant of the
+current basis.  A pivot on p = M[r][c] keeps row r and maps every other
+row i to (p * M[i] - M[i][c] * M[r]) / D, a division that is always
+exact by Cramer's rule; D becomes |p|, with all rows negated when p < 0.
+The slack columns of M hold D * B^-1, so a new column is those columns
 applied to its constraint.  Signs and ratios of T entries are read off M
 by cross-multiplication, so every pivot is the one the rational tableau
-would make, and the returned Fractions are exact.  Problems here are
-tiny (tens of rows), so the dense tableau is the right-sized choice.
+would make.  Results come back in the same form, integers over D: the
+value and x from ``simplex_min``, y from ``Tableau.dual``.  Costs,
+constraints and cost shifts must be ints (TypeError otherwise), since
+the pivot's exact ``//`` would floor anything else; a caller with
+rational data scales it first.  Problems here are tiny (tens of rows),
+so the dense tableau is the right-sized choice.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 
@@ -46,12 +47,9 @@ class Infeasible(ValueError):
     pass
 
 
-def integers(values: Sequence) -> tuple[list[int], int]:
-    """(integers, scale) with integers[j] == scale * values[j], scale >= 1
-    the least common denominator."""
-    fr = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    scale = lcm(*[f.denominator for f in fr])
-    return [f.numerator * (scale // f.denominator) for f in fr], scale
+def _require_ints(values: Sequence) -> None:
+    if not all(isinstance(a, int) for a in values):
+        raise TypeError("costs, constraints and cost shifts must be ints")
 
 
 def _pivot(tab: list[list[int]], row: int, col: int, d: int) -> int:
@@ -131,83 +129,72 @@ class Tableau:
     """The dual tableau of min c . x, A x >= b, x >= 0, kept between
     solves.  Column 0 holds the right-hand sides, columns 1..nx the slacks
     of A^T y <= c, then one column per constraint in the order added; the
-    last row holds the reduced costs.  ``costs`` holds the current costs.
-    After ``Infeasible`` it is spent."""
+    last row holds the reduced costs.  ``costs`` holds the current costs,
+    ``added`` counts the constraints.  After ``Infeasible`` it is spent."""
 
-    def __init__(self, costs: Sequence) -> None:
-        c, self.scale = integers(costs)
-        if any(cu < 0 for cu in c):
+    def __init__(self, costs: Sequence[int]) -> None:
+        _require_ints(costs)
+        if any(c < 0 for c in costs):
             raise ValueError("costs must be non-negative")
-        self.costs = [Fraction(cu, self.scale) for cu in c]
-        nx = len(c)
-        self.tab = [[cu] + [0] * u + [1] + [0] * (nx - u - 1) for u, cu in enumerate(c)]
+        self.costs = list(costs)
+        nx = len(costs)
+        self.tab = [[c] + [0] * u + [1] + [0] * (nx - u - 1) for u, c in enumerate(costs)]
         self.tab.append([0] * (nx + 1))
         self.basis = list(range(1, nx + 1))
         self.d = 1
-        self.row_scales: list[int] = []  # one per constraint added
+        self.added = 0
 
-    def add(self, row: Sequence, b) -> None:
+    def add(self, row: Sequence[int], b: int) -> None:
         """Append the constraint row . x >= b as a column."""
-        line, s = integers([*row, b])
-        b = line.pop()
-        a = [(u + 1, au) for u, au in enumerate(line) if au]
+        _require_ints([*row, b])
+        a = [(u + 1, au) for u, au in enumerate(row) if au]
         for tr in self.tab:
             tr.append(sum(tr[j] * au for j, au in a))
         self.tab[-1][-1] -= self.d * b
-        self.row_scales.append(s)
+        self.added += 1
 
-    def shift(self, u: int, delta) -> None:
+    def shift(self, u: int, delta: int) -> None:
         """Add delta to cost u, keeping it non-negative (ValueError
         otherwise).  Column 0 of every row, the reduced costs' included,
         moves by delta times u's slack column; the next ``simplex_min``
         restores the basis by dual simplex."""
-        delta = Fraction(delta)
+        _require_ints([delta])
         cost = self.costs[u] + delta
         if cost < 0:
             raise ValueError("costs must be non-negative")
-        step = delta * self.scale
-        if step.denominator != 1:
-            # Rescale the costs so that the new one is an integer too.
-            for tr in self.tab:
-                tr[0] *= step.denominator
-            self.scale *= step.denominator
         for tr in self.tab:
-            tr[0] += step.numerator * tr[u + 1]
+            tr[0] += delta * tr[u + 1]
         self.costs[u] = cost
 
-    def dual(self) -> list[Fraction]:
-        """y per constraint, in the order added, on the unscaled rows."""
+    def dual(self) -> list[int]:
+        """y * D per constraint, in the order added."""
         nx = len(self.basis)
-        y = [Fraction(0)] * len(self.row_scales)
+        y = [0] * self.added
         for i, bv in enumerate(self.basis):
             if bv > nx:
-                j = bv - nx - 1
-                y[j] = Fraction(self.row_scales[j] * self.tab[i][0], self.d * self.scale)
+                y[bv - nx - 1] = self.tab[i][0]
         return y
 
 
 def simplex_min(
-    costs: Sequence,
-    rows: Sequence[Sequence],
-    rhs: Sequence,
+    costs: Sequence[int],
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[int],
     tableau: Tableau | None = None,
-) -> tuple[Fraction, list[Fraction]]:
-    """Minimize costs . x subject to rows[i] . x >= rhs[i] and x >= 0.
-
-    Entries may be ints, Fractions or anything Fraction() accepts; costs
-    must be non-negative (ValueError otherwise).  A caller-held tableau
-    holding the same costs already holds the first rows, one per entry of
-    its ``row_scales``; its basis is restored after any ``shift``, the
-    rest of the rows are appended, and the solve starts from that basis.
-    Returns (optimal value, optimal x); ``tableau.dual()`` then gives the
-    dual certificate.  Raises Infeasible.
+) -> tuple[int, list[int], int]:
+    """Minimize costs . x subject to rows[i] . x >= rhs[i] and x >= 0,
+    for int entries (TypeError otherwise) and costs >= 0 (ValueError
+    otherwise).  A tableau given holds these costs and the first
+    ``tableau.added`` rows; its basis is restored after any ``shift``,
+    the other rows are appended, and the solve goes on from there.
+    Returns (value * D, x * D, D) at an optimum, D > 0 the basis
+    determinant; ``tableau.dual()`` then gives y * D.  Raises Infeasible.
     """
     if tableau is None:
         tableau = Tableau(costs)
     tableau.d = _restore(tableau.tab, tableau.basis, tableau.d)
-    for i in range(len(tableau.row_scales), len(rows)):
+    for i in range(tableau.added, len(rows)):
         tableau.add(rows[i], rhs[i])
     tableau.d = d = _optimize(tableau.tab, tableau.basis, tableau.d)
-    z = tableau.tab[-1]  # x_u is slack u's reduced cost over D
-    x = [Fraction(zu, d) for zu in z[1:len(tableau.basis) + 1]]
-    return Fraction(z[0], d * tableau.scale), x
+    z = tableau.tab[-1]  # x_u * D is slack u's reduced cost
+    return z[0], z[1:len(tableau.basis) + 1], d

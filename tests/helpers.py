@@ -1,10 +1,13 @@
 """Helpers only the tests use: a flower-certificate check, the dual odd
-T-path cover on bipartite graphs, matchings as edge sets, and the
-split-digraph reference for the Menger system from v back to v.  The
+T-path cover on bipartite graphs, matchings as edge sets, the
+split-digraph reference for the Menger system from v back to v, and the
+scaling of rational LP data to the integers the simplex takes.  The
 package never imports this module."""
 from __future__ import annotations
 
-from typing import Iterable
+from fractions import Fraction
+from math import lcm
+from typing import Iterable, Sequence
 
 from essentia.detect import FlowerCertificate
 from essentia.flows import SeparatorResult, min_vertex_separator
@@ -85,3 +88,11 @@ def split_cycle_separator(d: Digraph, v: int) -> SeparatorResult:
     arcs = [(d.n if u == v else u, w) for u, w in d.arcs()]
     res = min_vertex_separator(Digraph(d.n + 1, arcs), d.n, v)
     return SeparatorResult(res.separator, tuple((v, *p[1:]) for p in res.paths))
+
+
+def integers(values: Sequence) -> tuple[list[int], int]:
+    """(integers, scale) with integers[j] == scale * values[j], scale >= 1
+    the least common denominator of the rational values."""
+    fr = [Fraction(v) for v in values]
+    scale = lcm(*[f.denominator for f in fr])
+    return [f.numerator * (scale // f.denominator) for f in fr], scale

@@ -41,7 +41,12 @@ from essentia.oracle import (
 from essentia.problems import PROBLEMS
 from essentia.solve import exact_budgeted_solve, meta_solve
 
-from helpers import max_matching, min_odd_T_path_cover_bipartite, verify_flower_certificate
+from helpers import (
+    integers,
+    max_matching,
+    min_odd_T_path_cover_bipartite,
+    verify_flower_certificate,
+)
 from test_flows import brute_min_separator
 from test_lp import explicit_lp_cost
 from test_matching import brute_max_matching, brute_min_vertex_cover
@@ -198,7 +203,7 @@ def test_criterion_4_lp_exactness():
             state = solve_v_avoiding_lp(g, v)
             if state.cost != explicit_lp_cost(g, v):
                 failures.append(("cost", g, v))
-            if separation_oracle_holes(g, list(state.assignment)) is not None:
+            if separation_oracle_holes(g, *integers(state.assignment)) is not None:
                 failures.append(("sweep", g, v))
             compared += 1
     ok = not failures

@@ -1,5 +1,8 @@
 """The integer LP layer reproduces its Fraction references exactly.
 
+The LPs are drawn with rational data; each is scaled to integers (each
+row with its right-hand side, and the costs) for ``simplex_min``, and its
+results, integers over D, are read back on the unscaled LP.
 ``simplex_min`` must return the same optimum (or raise ``Infeasible``
 where the dense Fraction tableau does), with an exactly feasible x and an
 exact dual certificate y, cold and when the rows arrive one at a time on
@@ -21,6 +24,7 @@ import essentia.lp as lp
 from conftest import random_graph
 from essentia.graphs import Graph
 from essentia.simplex import Infeasible, Tableau, simplex_min
+from helpers import integers
 from reference_lp import (
     avoiding_lp_cost_reference,
     separation_oracle_pairwise,
@@ -89,32 +93,55 @@ def assert_certified(costs, rows, rhs, value, x, y):
     assert sum(b * yi for b, yi in zip(rhs, y)) == value
 
 
+def rational(result, cost_scale):
+    """(value, x) from simplex_min's (value * D, x * D, D) on costs scaled
+    by cost_scale."""
+    value, x, d = result
+    assert all(type(a) is int for a in [value, *x, d]) and d > 0
+    return Fraction(value, d * cost_scale), [Fraction(xu, d) for xu in x]
+
+
+def rational_dual(tableau, row_scales, cost_scale):
+    """y from tableau.dual(), y' * D on rows scaled by row_scales and
+    costs scaled by cost_scale."""
+    y = tableau.dual()
+    assert all(type(a) is int for a in y)
+    return [Fraction(s * yi, tableau.d * cost_scale) for s, yi in zip(row_scales, y)]
+
+
 def check_certified(lp_args):
     costs, rows, rhs = lp_args
+    icosts, cost_scale = integers(costs)
+    lines = [integers([*row, b]) for row, b in zip(rows, rhs)]
+    irows = [line[:-1] for line, _ in lines]
+    irhs = [line[-1] for line, _ in lines]
+    row_scales = [s for _, s in lines]
     if any(c < 0 for c in costs):
         # The dual's slack basis needs costs >= 0; no caller passes others.
         with pytest.raises(ValueError) as err:
-            simplex_min(costs, rows, rhs)
+            simplex_min(icosts, irows, irhs)
         assert type(err.value) is ValueError
         return
     ref = outcome(simplex_min_fraction, costs, rows, rhs)
-    cold = Tableau(costs)
-    got = outcome(lambda *args: simplex_min(*args, cold), costs, rows, rhs)
+    cold = Tableau(icosts)
+    got = outcome(lambda *args: simplex_min(*args, cold), icosts, irows, irhs)
     if ref is Infeasible:
         assert got is Infeasible
     else:
-        value, x = got
+        value, x = rational(got, cost_scale)
         assert value == ref[0]
-        assert_certified(costs, rows, rhs, value, x, cold.dual())
+        y = rational_dual(cold, row_scales, cost_scale)
+        assert_certified(costs, rows, rhs, value, x, y)
     # The same rows, one cut at a time on one tableau.
-    warm = Tableau(costs)
+    warm = Tableau(icosts)
     for k in range(len(rows) + 1):
         try:
-            value, x = simplex_min(costs, rows[:k], rhs[:k], warm)
+            value, x = rational(simplex_min(icosts, irows[:k], irhs[:k], warm), cost_scale)
         except Infeasible:
             assert ref is Infeasible
             return
-        assert_certified(costs, rows[:k], rhs[:k], value, x, warm.dual())
+        y = rational_dual(warm, row_scales, cost_scale)
+        assert_certified(costs, rows[:k], rhs[:k], value, x, y)
     assert ref is not Infeasible and value == ref[0]
 
 
@@ -165,21 +192,27 @@ def test_shifted_costs_match_fraction_reference(case):
     # Each step shifts costs on a solved tableau; the dual simplex restore
     # (and the primal cuts after it) must reach the cold optimum on the
     # new costs, with both certificates exact.
+    # One scale serves every cost the steps set, so each shift is an int.
     costs, rows, steps = case
     costs = list(costs)
+    new_costs = [cost for changes, _ in steps for _, cost in changes]
+    scaled, scale = integers([*costs, *new_costs])
+    icosts, new_icosts = scaled[:len(costs)], iter(scaled[len(costs):])
     rhs = [1] * len(rows)
-    warm = Tableau(costs)
+    warm = Tableau(icosts)
     k = 1
-    simplex_min(costs, rows[:k], rhs[:k], warm)
+    simplex_min(icosts, rows[:k], rhs[:k], warm)
     for changes, more in steps:
         for u, cost in changes:
-            warm.shift(u, cost - costs[u])
-            costs[u] = cost
-        assert warm.costs == costs
+            icost = next(new_icosts)
+            warm.shift(u, icost - icosts[u])
+            costs[u], icosts[u] = cost, icost
+        assert warm.costs == icosts
         k = min(len(rows), k + more)
-        value, x = simplex_min(costs, rows[:k], rhs[:k], warm)
+        value, x = rational(simplex_min(icosts, rows[:k], rhs[:k], warm), scale)
         assert value == simplex_min_fraction(costs, rows[:k], rhs[:k])[0]
-        assert_certified(costs, rows[:k], rhs[:k], value, x, warm.dual())
+        y = rational_dual(warm, [1] * k, scale)
+        assert_certified(costs, rows[:k], rhs[:k], value, x, y)
 
 
 def test_shift_rejects_negative_costs():
@@ -192,7 +225,7 @@ def test_shift_rejects_negative_costs():
 @pytest.mark.parametrize("costs", [[-1], [1, Fraction(-1, 2)], [0, -3, 2]])
 def test_simplex_rejects_negative_costs(costs):
     with pytest.raises(ValueError) as err:
-        simplex_min(costs, [[1] * len(costs)], [1])
+        simplex_min(integers(costs)[0], [[1] * len(costs)], [1])
     assert type(err.value) is ValueError
 
 
@@ -214,7 +247,8 @@ def weighted_graphs(draw):
 @settings(max_examples=500, deadline=None)
 def test_oracle_matches_pairwise_reference(case):
     g, weights = case
-    assert lp.separation_oracle_holes(g, weights) == separation_oracle_pairwise(g, weights)
+    hole = lp.separation_oracle_holes(g, *integers(weights))
+    assert hole == separation_oracle_pairwise(g, weights)
 
 
 def test_oracle_reference_finds_holes():
@@ -225,7 +259,7 @@ def test_oracle_reference_finds_holes():
         n = rng.randint(4, 10) if i < 200 else rng.randint(12, 24)
         g = random_graph(rng, n, 0.35)
         weights = [rng.choice([Fraction(0), Fraction(1, 4), Fraction(1, 2)]) for _ in range(g.n)]
-        hole = lp.separation_oracle_holes(g, weights)
+        hole = lp.separation_oracle_holes(g, *integers(weights))
         assert hole == separation_oracle_pairwise(g, weights)
         hits += hole is not None
     assert hits >= 50

@@ -19,6 +19,7 @@ from essentia.lp import (
     solve_v_avoiding_lp,
 )
 from essentia.simplex import simplex_min
+from helpers import integers
 from reference_lp import avoiding_lp_cost_reference
 
 ZERO, ONE, HALF = Fraction(0), Fraction(1), Fraction(1, 2)
@@ -64,29 +65,29 @@ def explicit_lp_rows(g: Graph, v: int) -> list[list[int]]:
 
 def explicit_lp_cost(g: Graph, v: int) -> Fraction:
     rows = explicit_lp_rows(g, v)
-    value, _ = simplex_min([1] * (g.n - 1), rows, [1] * len(rows))
-    return value
+    value, _, d = simplex_min([1] * (g.n - 1), rows, [1] * len(rows))
+    return Fraction(value, d)
 
 
 def test_oracle_all_ones_feasible():
     rng = random.Random(1)
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 8), 0.5)
-        assert separation_oracle_holes(g, [ONE] * g.n) is None
+        assert separation_oracle_holes(g, *integers([ONE] * g.n)) is None
 
 
 def test_oracle_c4_zero_violated():
-    hole = separation_oracle_holes(cycle_graph(4), [ZERO] * 4)
+    hole = separation_oracle_holes(cycle_graph(4), *integers([ZERO] * 4))
     assert hole is not None and sorted(hole) == [0, 1, 2, 3]
 
 
 def test_oracle_c5_boundary_point():
     # The lone hole of C5 sums to exactly one: feasible.
     x = [HALF, HALF, ZERO, ZERO, ZERO]
-    assert separation_oracle_holes(cycle_graph(5), x) is None
+    assert separation_oracle_holes(cycle_graph(5), *integers(x)) is None
     # Dropping one half makes it violated.
     x = [HALF, ZERO, ZERO, ZERO, ZERO]
-    assert separation_oracle_holes(cycle_graph(5), x) is not None
+    assert separation_oracle_holes(cycle_graph(5), *integers(x)) is not None
 
 
 def test_avoiding_lp_named():
@@ -118,7 +119,7 @@ def test_lazy_equals_explicit(seed):
         state = solve_v_avoiding_lp(g, v)
         assert state.cost == explicit_lp_cost(g, v)  # exact rational equality
         # Full oracle sweep over the final assignment.
-        assert separation_oracle_holes(g, list(state.assignment)) is None
+        assert separation_oracle_holes(g, *integers(state.assignment)) is None
         assert state.assignment[v] == 0
         # Cost lower-bounds any integral avoiding modulator: every hole
         # holds at least a unit, spread over its pooled constraints.
@@ -256,7 +257,7 @@ def assert_lp_certified(g: Graph, state) -> None:
     assert all(load[u] <= 1 for u in range(g.n) if u != v)
     assert sum(state.packing, ZERO) == state.cost == sum(state.assignment, ZERO)
     assert state.assignment[v] == 0
-    assert separation_oracle_holes(g, list(state.assignment)) is None
+    assert separation_oracle_holes(g, *integers(state.assignment)) is None
     variables = [u for u in range(g.n) if u != v]
     rows = [[int(u in hole) for u in variables] for hole in state.pool]
     ref = linprog(

@@ -7,34 +7,40 @@ from fractions import Fraction
 import pytest
 from scipy.optimize import linprog
 
-from essentia.simplex import Infeasible, _restore, simplex_min
+from essentia.simplex import Infeasible, Tableau, _restore, simplex_min
+
+
+def rational_min(costs, rows, rhs):
+    """simplex_min's (value * D, x * D, D), read as (value, x)."""
+    value, x, d = simplex_min(costs, rows, rhs)
+    return Fraction(value, d), [Fraction(xu, d) for xu in x]
 
 
 def test_tiny_known():
     # min x0 + x1 st x0 + x1 >= 1 -> 1
-    value, x = simplex_min([1, 1], [[1, 1]], [1])
+    value, x = rational_min([1, 1], [[1, 1]], [1])
     assert value == 1
     assert sum(x) == 1
     # Two disjoint covering constraints -> 2.
-    value, _ = simplex_min(
+    value, _ = rational_min(
         [1, 1, 1, 1], [[1, 1, 0, 0], [0, 0, 1, 1]], [1, 1]
     )
     assert value == 2
     # Shared variable can cover both rows at once.
-    value, x = simplex_min([1, 1, 1], [[1, 1, 0], [0, 1, 1]], [1, 1])
+    value, x = rational_min([1, 1, 1], [[1, 1, 0], [0, 1, 1]], [1, 1])
     assert value == 1 and x[1] == 1
 
 
 def test_fractional_optimum():
     # Odd cycle cover LP: three pair constraints on a triangle -> 3/2.
     rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-    value, x = simplex_min([1, 1, 1], rows, [1, 1, 1])
+    value, x = rational_min([1, 1, 1], rows, [1, 1, 1])
     assert value == Fraction(3, 2)
     assert all(v == Fraction(1, 2) for v in x)
 
 
 def test_no_constraints():
-    value, x = simplex_min([1, 1], [], [])
+    value, x = rational_min([1, 1], [], [])
     assert value == 0 and x == [0, 0]
 
 
@@ -45,7 +51,7 @@ def test_infeasible():
 
 def test_negative_rhs_rows():
     # -x0 >= -5 is just x0 <= 5; objective pulls x0 to 3 via x0 >= 3.
-    value, x = simplex_min([1], [[-1], [1]], [-5, 3])
+    value, x = rational_min([1], [[-1], [1]], [-5, 3])
     assert value == 3 and x == [3]
 
 
@@ -63,7 +69,7 @@ def test_random_vs_scipy(seed):
         rows.append(row)
         rhs.append(rng.choice([1, 1, 1, 2]))
     costs = [rng.choice([1, 1, 1, 2, 3]) for _ in range(nx)]
-    value, x = simplex_min(costs, rows, rhs)
+    value, x = rational_min(costs, rows, rhs)
     # Feasibility of the returned point, exactly.
     for row, b in zip(rows, rhs):
         assert sum(Fraction(a) * xi for a, xi in zip(row, x)) >= b
@@ -100,3 +106,24 @@ def test_restore_terminates_where_the_most_negative_rule_cycles():
     # The value is minus the primal optimum, 1 (x1 = x3 = 1).
     assert Fraction(tab[4][0], d) == -1
     assert sorted(basis) == [2, 4, 6, 7]
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 0.5, 2.0])
+def test_simplex_takes_ints_only(bad):
+    # The pivots' exact // would silently floor any other number, so a
+    # non-int cost, entry, right-hand side or cost shift is refused.
+    for costs, rows, rhs in [([1, bad], [[1, 1]], [1]), ([1, 1], [[bad, 1]], [1]),
+                             ([1, 1], [[1, 1]], [bad])]:
+        with pytest.raises(TypeError):
+            simplex_min(costs, rows, rhs)
+    with pytest.raises(TypeError):
+        Tableau([bad])
+    warm = Tableau([1, 1])
+    for call in (lambda: warm.add([1, bad], 1), lambda: warm.add([1, 1], bad),
+                 lambda: warm.shift(0, bad),
+                 lambda: simplex_min([1, 1], [[1, bad]], [1], warm)):
+        with pytest.raises(TypeError):
+            call()
+    # A refused call leaves the tableau as it was.
+    assert warm.costs == [1, 1] and warm.added == 0
+    assert simplex_min([1, 1], [[1, 1]], [1], warm)[0] == warm.d

@@ -26,6 +26,17 @@ def test_no_assert_statements_in_src():
     assert not found, f"assert statements in src: {found}"
 
 
+def test_simplex_does_not_import_fractions():
+    # The simplex works on integers over the basis determinant; Fractions
+    # are made by its callers, once per result they hand out.
+    tree = ast.parse((SRC / "simplex.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(
+                 alias.name.split(".")[0] == "fractions" for alias in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "fractions"]
+    assert not found, f"simplex.py imports fractions at lines {found}"
+
+
 def test_tests_do_not_call_builtin_hash():
     # str hashes are salted per process, so a seed derived with hash()
     # gives a different test input on every run.
