@@ -25,10 +25,12 @@ so fvs, oct, dfvs and doct score each component's induced subgraph
 (``graphs.induced``, which keeps the vertex order, so every kernel runs
 the same steps as on the whole graph) and map the certificates back; each
 kernel call is then sized by its component, not by n.  vc stays whole:
-it is one matching of the double cover, not one kernel per vertex.  cvd
-stays whole too: its avoiding-LP cost is a sum over the whole graph, and
-all n pinned LPs run on one ``lp.PooledLP``, each pin moved by a cost
-change from the last optimal basis, with every hole found so far.
+it is one matching of the double cover ``label_extended(g)``, not one
+kernel per vertex; there, as in the packers' auxiliary graphs, v's
+copies are 2v and 2v + 1.  cvd stays whole too: its avoiding-LP cost is
+a sum over the whole graph, and all n pinned LPs run on one
+``lp.PooledLP``, each pin moved by a cost change from the last optimal
+basis, with every hole found so far.
 
 ``detector_factory`` scores once and sorts the vertices by score, so the
 detector for each k is a binary search plus sorting what it returns.
@@ -144,29 +146,22 @@ def flower_number_dfvs(d: Digraph, v: int) -> tuple[int, FlowerCertificate]:
 
 
 def vc_lp_halfintegral(g: Graph) -> list[Fraction]:
-    """An optimal half-integral solution of the edge-covering relaxation,
-    via a minimum vertex cover of the bipartite double cover."""
-    edges = []
-    for u, w in g.edges():
-        edges.append((u, g.n + w))
-        edges.append((w, g.n + u))
-    double = Graph(2 * g.n, edges)
-    coloring = [0] * g.n + [1] * g.n
-    cover = min_vertex_cover_bipartite(double, coloring)
-    half = Fraction(1, 2)
-    return [
-        half * ((v in cover) + (g.n + v in cover)) for v in range(g.n)
-    ]
+    """An optimal half-integral solution of the edge-covering relaxation:
+    x_v is half the number of v's copies in a minimum vertex cover of the
+    bipartite double cover ``label_extended(g)``."""
+    cover = min_vertex_cover_bipartite(label_extended(g), [0, 1] * g.n)
+    return [Fraction((2 * v in cover) + (2 * v + 1 in cover), 2) for v in range(g.n)]
 
 
-def label_extended(d: Digraph) -> Digraph:
+def label_extended(g: Graph | Digraph) -> Graph | Digraph:
     """Parity-split double cover: v maps to 2v (even copy) and 2v+1 (odd
-    copy); an arc (u, w) induces (2u, 2w+1) and (2u+1, 2w)."""
-    arcs = []
-    for u, w in d.arcs():
-        arcs.append((2 * u, 2 * w + 1))
-        arcs.append((2 * u + 1, 2 * w))
-    return Digraph(2 * d.n, arcs)
+    copy); an arc (u, w) of a digraph, or an edge uw of a graph, induces
+    (2u, 2w+1) and (2u+1, 2w)."""
+    pairs = []
+    for u, w in g.arcs() if g.directed else g.edges():
+        pairs.append((2 * u, 2 * w + 1))
+        pairs.append((2 * u + 1, 2 * w))
+    return type(g)(2 * g.n, pairs)
 
 
 def _doct_scores(d: Digraph) -> list[tuple[int, DoctCertificate]]:
@@ -231,7 +226,7 @@ def detector_factory(problem: str, g: Graph | Digraph) -> Callable[[int], Detect
     PROBLEMS[problem].check_graph(g)
     score_fn, bar = _SCORES[problem]
     scored = score_fn(g)
-    extra = {"assignment": tuple(x for _, x in scored)} if problem == "vc" else None
+    extra = {"assignment": tuple([x for _, x in scored])} if problem == "vc" else None
     by_score = sorted(range(g.n), key=lambda v: scored[v][0])
     keys = [scored[v][0] for v in by_score]
 

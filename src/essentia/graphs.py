@@ -63,8 +63,8 @@ class _Adjacency:
                 raise GraphError(f"duplicate {self._pair} ({u}, {v})")
             out[u].add(v)
             inc[v].add(u)
-        self._out = tuple(tuple(sorted(s)) for s in out)
-        self._in = tuple(tuple(sorted(s)) for s in inc) if self.directed else self._out
+        self._out = tuple([tuple(sorted(s)) for s in out])
+        self._in = tuple([tuple(sorted(s)) for s in inc]) if self.directed else self._out
 
     @property
     def m(self) -> int:

@@ -96,7 +96,7 @@ def max_matching_adj(adj: Sequence[Sequence[int]]) -> list[int]:
                     match[to] = v
                     break
     for v in range(n):
-        if match[v] == -1:
+        if match[v] == -1 and adj[v]:
             _find_augmenting(adj, match, v)
     return match
 

@@ -184,14 +184,16 @@ def simplex_min(
 ) -> tuple[int, list[int], int]:
     """Minimize costs . x subject to rows[i] . x >= rhs[i] and x >= 0,
     for int entries (TypeError otherwise) and costs >= 0 (ValueError
-    otherwise).  A tableau given holds these costs and the first
-    ``tableau.added`` rows; its basis is restored after any ``shift``,
-    the other rows are appended, and the solve goes on from there.
+    otherwise).  A tableau given holds these costs (ValueError otherwise)
+    and the first ``tableau.added`` rows; its basis is restored after any
+    ``shift``, the other rows are appended, and the solve goes on.
     Returns (value * D, x * D, D) at an optimum, D > 0 the basis
     determinant; ``tableau.dual()`` then gives y * D.  Raises Infeasible.
     """
     if tableau is None:
         tableau = Tableau(costs)
+    elif list(costs) != tableau.costs:
+        raise ValueError("costs differ from the tableau's costs")
     tableau.d = _restore(tableau.tab, tableau.basis, tableau.d)
     for i in range(tableau.added, len(rows)):
         tableau.add(rows[i], rhs[i])

@@ -1,27 +1,29 @@
 """Packings of T-paths (paths with at least one edge and both endpoints
 in a terminal set T) via reductions to maximum matching.
 
-Any-parity packing: build an auxiliary graph with one copy of every
-terminal and two adjacent copies of every non-terminal, one map holding
-each vertex's copies, and join every copy of u to every copy of v for
-each edge uv.  A maximum matching there exceeds the number of copy
-pairs by exactly the maximum number of vertex-disjoint T-paths.
+Both reductions number their auxiliary vertices one way: vertex v of G
+owns the slots 2v (v itself) and 2v + 1 (its copy), so x >> 1 is the
+vertex of slot x and x ^ 1 is its other slot.  Each non-terminal with an
+edge has its copy joined to it: the copy pairs P.  Every other slot (a
+terminal's 2t + 1, both slots of an isolated non-terminal, which lies
+on no T-path) stays isolated, and the matcher starts no search there.
+Each edge uw joins 2u to 2w and, if both have a copy, copy to copy.
 
-Odd packing: the auxiliary graph is the original graph plus a copy of
-G - T, with each non-terminal joined to its copy.  Odd T-paths
-correspond to matchings that alternate between original and copy edges.
+Odd packing: that is the whole graph, G plus a copy of G - T.  Odd
+T-paths correspond to matchings that alternate between original and
+copy edges.
 
-Both packers copy only the non-terminals that have an edge: an isolated
-one lies on no T-path, and its copy pair would only match itself.
+Any-parity packing (Gallai): each copy is also joined to the originals
+of its neighbours, so each slot of u is joined to each slot of w.  A
+maximum matching there exceeds |P| by exactly the maximum number of
+vertex-disjoint T-paths.
 
-Each packer only builds its auxiliary graph, with the copy pairs P and
-the map back to G; both then end in one shared tail, ``_pack``, which
-reads the paths off M xor P for a maximum matching M.  Only terminals
-are uncovered by P, so a component of M xor P with one more M-edge than
-P-edges ends in two terminals and passes each non-terminal once,
-through its copy pair: it maps back to a T-path.  A maximum M leaves no
-P-heavy component, since one would augment M, so it has exactly
-|M| - |P| M-heavy components.
+``_pack`` builds either graph and reads the paths off M xor P for a
+maximum matching M.  Only terminals are uncovered by P, so a component
+of M xor P with one more M-edge than P-edges ends in two terminals and
+passes each non-terminal once, through its copy pair: read through
+x >> 1, it is a T-path.  A maximum M leaves no P-heavy component, since
+one would augment M, so it has exactly |M| - |P| M-heavy components.
 """
 from __future__ import annotations
 
@@ -31,35 +33,48 @@ from .graphs import Graph
 from .matching import max_matching_adj
 
 
-def _pack(T: frozenset[int], adj: list[list[int]], pairs: list[tuple[int, int]],
-          back: list[int], odd: bool) -> tuple[tuple[int, ...], ...]:
-    """The tail both packers share: trace each M-heavy component of
-    M xor P from its smaller terminal, and drop a trace that reaches an
-    M-exposed copy (a component with as many P-edges as M-edges)."""
+def _aux_graph(g: Graph, T: frozenset[int], odd: bool) -> list[list[int]]:
+    """The auxiliary graph on 2 * g.n slots, for odd or any-parity
+    packing, as adjacency lists."""
+    copied = [v not in T and len(row) > 0 for v, row in enumerate(g.adjacency)]
+    # Each copy pair leads its two rows, so the matcher's greedy start
+    # matches P first and leaves fewer search phases.
+    adj: list[list[int]] = []
+    for v, row in enumerate(g.adjacency):
+        originals = [2 * w for w in row]
+        twins = [2 * w + 1 for w in row if copied[w]]
+        if not copied[v]:
+            adj += [originals if odd else originals + twins, []]
+        elif odd:
+            adj += [[2 * v + 1] + originals, [2 * v] + twins]
+        else:
+            adj += [[2 * v + 1] + originals + twins, [2 * v] + twins + originals]
+    return adj
+
+
+def _pack(g: Graph, terminals: Iterable[int], odd: bool) -> tuple[tuple[int, ...], ...]:
+    """Trace each M-heavy component of M xor P from its smaller
+    terminal, and drop a trace that reaches an M-exposed copy (a
+    component with as many P-edges as M-edges)."""
+    T = frozenset(terminals)
+    adj = _aux_graph(g, T, odd)
     mate = max_matching_adj(adj)
-    nu = sum(1 for v, m in enumerate(mate) if m > v)
-    count = nu - len(pairs)
+    nu = (len(mate) - mate.count(-1)) // 2
+    count = nu - sum(1 for row in adj[1::2] if row)  # |P|: the paired copy slots
     if count < 0:
         raise AssertionError("matching smaller than the copy-pair baseline")
-    partner = {}
-    for a, b in pairs:
-        partner[a] = b
-        partner[b] = a
     paths = []
-    ends: set[int] = set()
-    for x, t in enumerate(back):
-        if t not in T or x in ends:
-            continue
+    for t in sorted(T):
         path = [t]
-        y = mate[x]
-        # y is a copy, a terminal, or -1 (t or the last copy is M-exposed).
-        while y in partner:
-            path.append(back[y])
-            y = mate[partner[y]]
-        if y == -1:
+        y = mate[2 * t]
+        # y is a slot of a non-terminal, a terminal, or -1 (t or the
+        # last copy is M-exposed).
+        while y >= 0 and y >> 1 not in T:
+            path.append(y >> 1)
+            y = mate[y ^ 1]
+        if y < 0 or y >> 1 < t:  # or traced already from its smaller end
             continue
-        ends.add(y)
-        paths.append((*path, back[y]))
+        paths.append((*path, y >> 1))
     if len(paths) != count:
         raise AssertionError(f"traced {len(paths)} paths, matching promised {count}")
     if odd and any(len(p) % 2 != 0 for p in paths):
@@ -72,54 +87,9 @@ def _pack(T: frozenset[int], adj: list[list[int]], pairs: list[tuple[int, int]],
 
 def max_T_path_packing(g: Graph, terminals: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """Maximum-cardinality packing of pairwise vertex-disjoint T-paths."""
-    T = frozenset(terminals)
-    nonterm = [v for v in range(g.n) if v not in T and g.degree(v)]
-    # Terminals come first in sorted order, then the two copies of each
-    # non-terminal side by side; back lists every auxiliary vertex's image.
-    back = sorted(T) + [u for u in nonterm for _ in range(2)]
-    copies: dict[int, tuple[int, ...]] = {}
-    for x, u in enumerate(back):
-        copies[u] = copies.get(u, ()) + (x,)
-    adj: list[list[int]] = [[] for _ in back]
-
-    def link(x: int, y: int) -> None:
-        adj[x].append(y)
-        adj[y].append(x)
-
-    for u, v in g.edges():
-        for x in copies[u]:
-            for y in copies[v]:
-                link(x, y)
-    pairs = [copies[u] for u in nonterm]
-    for a, b in pairs:
-        link(a, b)
-    return _pack(T, adj, pairs, back, odd=False)
-
-
-def _odd_aux_graph(g: Graph, T: frozenset[int]):
-    """Auxiliary graph for odd T-path packing: G plus a copy g.n + i of
-    the i-th non-terminal with an edge, joined to it; returns
-    (adj, pairs, back)."""
-    nonterm = [v for v in range(g.n) if v not in T and g.degree(v)]
-    back = list(range(g.n)) + nonterm
-    pairs = [(u, g.n + i) for i, u in enumerate(nonterm)]
-    copy = dict(pairs)
-    adj: list[list[int]] = [[] for _ in back]
-
-    def link(x: int, y: int) -> None:
-        adj[x].append(y)
-        adj[y].append(x)
-
-    for u, v in g.edges():
-        link(u, v)
-        if u not in T and v not in T:
-            link(copy[u], copy[v])
-    for a, b in pairs:
-        link(a, b)
-    return adj, pairs, back
+    return _pack(g, terminals, odd=False)
 
 
 def max_odd_T_path_packing(g: Graph, terminals: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """Maximum-cardinality packing of pairwise vertex-disjoint odd T-paths."""
-    T = frozenset(terminals)
-    return _pack(T, *_odd_aux_graph(g, T), odd=True)
+    return _pack(g, terminals, odd=True)

@@ -15,7 +15,7 @@ from essentia.graphs import Digraph, Graph
 from essentia.matching import max_matching_adj, min_vertex_cover_bipartite
 from essentia.problems import PROBLEMS
 from essentia.recognize import is_bipartite
-from essentia.tpaths import _odd_aux_graph, max_odd_T_path_packing
+from essentia.tpaths import _aux_graph, max_odd_T_path_packing
 
 
 def verify_flower_certificate(
@@ -56,19 +56,18 @@ def min_odd_T_path_cover_bipartite(g: Graph, terminals: Iterable[int]) -> set[in
     ok, coloring = is_bipartite(g)
     if not ok:
         raise ValueError("graph is not bipartite")
-    adj, pairs, _ = _odd_aux_graph(g, T)
-    copy = dict(pairs)
-    nonterm = list(copy)
+    adj = _aux_graph(g, T, odd=True)
     aux_edges = []
     for x in range(len(adj)):
         for y in adj[x]:
             if x < y:
                 aux_edges.append((x, y))
     aux = Graph(len(adj), aux_edges)
-    aux_coloring = list(coloring) + [1 - coloring[u] for u in nonterm]
+    # Slot 2v + b of the auxiliary graph takes v's colour, flipped for a copy.
+    aux_coloring = [coloring[x >> 1] ^ (x & 1) for x in range(len(adj))]
     cover = min_vertex_cover_bipartite(aux, aux_coloring)
-    S = {t for t in T if t in cover}
-    S.update(u for u in nonterm if u in cover and copy[u] in cover)
+    S = {t for t in T if 2 * t in cover}
+    S.update(v for v in range(g.n) if 2 * v in cover and 2 * v + 1 in cover)
 
     if len(S) != len(max_odd_T_path_packing(g, T)):
         raise AssertionError("cover size differs from packing number")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from essentia.detect import (
 )
 from essentia.generate import gnp, planted_ess, planted_flower
 from essentia.graphs import Digraph, Graph, delete_vertices
+from essentia.matching import min_vertex_cover_bipartite
 from essentia.oracle import brute_flower, verify_detection
 from essentia.tpaths import max_odd_T_path_packing, max_T_path_packing
 from helpers import verify_flower_certificate
@@ -173,6 +175,40 @@ def test_vc_lp_assignment_properties():
         x = vc_lp_halfintegral(g)
         for u, v in g.edges():
             assert x[u] + x[v] >= 1
+
+
+def separate_double_cover_lp(g: Graph) -> list[Fraction]:
+    """Reference for ``vc_lp_halfintegral``: the double cover with v on
+    side 0 and its copy n + v on side 1, each edge uw joining u to n + w
+    and w to n + u."""
+    edges = []
+    for u, w in g.edges():
+        edges += [(u, g.n + w), (w, g.n + u)]
+    cover = min_vertex_cover_bipartite(Graph(2 * g.n, edges), [0] * g.n + [1] * g.n)
+    return [Fraction((v in cover) + (g.n + v in cover), 2) for v in range(g.n)]
+
+
+@pytest.mark.parametrize("n", [20, 50, 100, 200])
+def test_vc_lp_matches_the_separate_double_cover(n):
+    # König's cover from the exposed side-0 vertices is the same for
+    # every maximum matching, so renumbering the cover changes no x.
+    graphs = [gnp(n, p, seed) for p in (1.5 / n, 4 / n, 0.1) for seed in range(3)]
+    graphs += [planted_ess("vc", centers=c, background=3, seed=n + c) for c in (2, 4, 6)]
+    for g in graphs:
+        x = vc_lp_halfintegral(g)
+        assert x == separate_double_cover_lp(g), g
+        assert all(x[u] + x[v] >= 1 for u, v in g.edges())
+
+
+@pytest.mark.parametrize("n", [24, 28, 32, 36, 40])
+def test_flower_certificates_beyond_brute_scale(n):
+    # The packers check sizes, parity and disjointness, not that their
+    # paths run along edges of G; every petal here must.
+    for seed in range(3):
+        g = gnp(n, 0.15, seed)
+        for problem, flower_number in (("fvs", flower_number_fvs), ("oct", flower_number_oct)):
+            for v in range(n):
+                verify_flower_certificate(problem, g, flower_number(g, v)[1])
 
 
 def test_detect_doct_named():

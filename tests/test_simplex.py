@@ -127,3 +127,18 @@ def test_simplex_takes_ints_only(bad):
     # A refused call leaves the tableau as it was.
     assert warm.costs == [1, 1] and warm.added == 0
     assert simplex_min([1, 1], [[1, 1]], [1], warm)[0] == warm.d
+
+
+def test_simplex_refuses_costs_the_tableau_does_not_hold():
+    # A kept tableau solves on its own costs, so other costs passed with
+    # it are refused before the tableau is touched.
+    warm = Tableau([1, 2])
+    assert simplex_min([1, 2], [[1, 1]], [1], warm)[0] == warm.d
+    snapshot = ([row[:] for row in warm.tab], warm.basis[:], warm.d, warm.added)
+    for costs in ([2, 1], [1, 2, 0], [1]):
+        with pytest.raises(ValueError):
+            simplex_min(costs, [[1, 1], [1, 0]], [1, 1], warm)
+    assert ([row[:] for row in warm.tab], warm.basis[:], warm.d, warm.added) == snapshot
+    warm.shift(1, -1)
+    value, x, d = simplex_min([1, 1], [[1, 1], [1, 0]], [1, 1], warm)
+    assert (Fraction(value, d), [Fraction(xu, d) for xu in x]) == (1, [1, 0])

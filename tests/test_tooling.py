@@ -37,6 +37,21 @@ def test_simplex_does_not_import_fractions():
     assert not found, f"simplex.py imports fractions at lines {found}"
 
 
+def test_no_tuples_built_from_generators_in_src():
+    # tuple(<generator>) allocates a tuple of the default length hint and
+    # resizes it, and the freed blocks fill the tuple freelists of every
+    # other length over many calls, which raises the process's peak RSS;
+    # tuple([...]) allocates its final length once.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "tuple" and node.args
+                  and isinstance(node.args[0], ast.GeneratorExp)]
+    assert not found, f"tuple(<generator>) in src: {found}"
+
+
 def test_tests_do_not_call_builtin_hash():
     # str hashes are salted per process, so a seed derived with hash()
     # gives a different test input on every run.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 
 from conftest import cycle_graph, path_graph, random_bipartite, random_graph
@@ -149,8 +150,47 @@ def test_packing_matches_normalized_reference(monkeypatch, n, p):
             check_packing(g, T, max_T_path_packing(g, T))
             check_packing(g, T, max_odd_T_path_packing(g, T), odd=True)
     assert len(calls) == 18
-    for args, kwargs, result in calls:
-        assert result == reference_pack(*args, **kwargs)
+    for (g, terminals), kwargs, result in calls:
+        T, odd = frozenset(terminals), kwargs["odd"]
+        adj = tpaths._aux_graph(g, T, odd)
+        # Vertex v owns the slots 2v and 2v + 1; each non-terminal with
+        # an edge pairs them.
+        pairs = [(2 * v, 2 * v + 1) for v in range(g.n) if v not in T and g.degree(v)]
+        back = [x >> 1 for x in range(2 * g.n)]
+        assert result == reference_pack(T, adj, pairs, back, odd)
+
+
+def networkx_packing_number(g: Graph, T: set[int], odd: bool) -> int:
+    """The packing number read off a networkx maximum matching of the
+    auxiliary graph, built here on labelled vertices: ("v", v) for every
+    vertex and ("c", v) for the copy of each non-terminal with an edge.
+    Odd packing joins originals to originals and copies to copies;
+    Gallai's any-parity packing joins each of u's vertices to each of w's."""
+    copied = {v for v in range(g.n) if v not in T and g.degree(v)}
+    h = nx.Graph()
+    h.add_edges_from((("v", v), ("c", v)) for v in copied)
+    for u, w in g.edges():
+        for a in ["v", "c"] if u in copied else ["v"]:
+            for b in ["v", "c"] if w in copied else ["v"]:
+                if a == b or not odd:
+                    h.add_edge((a, u), (b, w))
+    return len(nx.max_weight_matching(h, maxcardinality=True)) - len(copied)
+
+
+@pytest.mark.parametrize("n", [20, 30, 40, 50, 60])
+@pytest.mark.parametrize("p", [0.1, 0.2, 0.35])
+def test_packing_sizes_match_networkx(n, p):
+    # Beyond brute-force reach: sizes against another matcher on an
+    # auxiliary graph with another vertex numbering.
+    rng = random.Random(n * 100 + int(p * 100))
+    for seed in range(2):
+        g = gnp(n, p, seed)
+        for q in (0.1, 0.3, 0.6):
+            T = {v for v in range(n) if rng.random() < q}
+            for odd, packer in ((False, max_T_path_packing), (True, max_odd_T_path_packing)):
+                pk = packer(g, T)
+                check_packing(g, T, pk, odd=odd)
+                assert len(pk) == networkx_packing_number(g, T, odd), (seed, sorted(T), odd)
 
 
 def test_cover_named():
