@@ -136,7 +136,7 @@ def _certificate_payload(cert) -> dict:
         }
     if isinstance(cert, Fraction):
         return {"type": "lp-value", "value": str(cert)}
-    return {"type": "opaque", "repr": repr(cert)}
+    raise TypeError(f"no payload for a {type(cert).__name__} certificate")
 
 
 def _detection_payload(res: DetectionResult) -> dict:
@@ -147,7 +147,7 @@ def _detection_payload(res: DetectionResult) -> dict:
             for v, cert in sorted(res.certificates.items())
         },
     }
-    if res.extra and "assignment" in res.extra:
+    if res.extra:
         payload["assignment"] = [str(x) for x in res.extra["assignment"]]
     return payload
 
@@ -344,10 +344,11 @@ def cmd_bench(args) -> int:
         ]
     except OSError as exc:
         raise InputError(f"cannot read suite {args.suite}: {exc}") from exc
+    # Every entry is read and checked before any is timed.
+    loaded = [(entry, *_load_graph(str(suite_path.parent / entry), args.problem))
+              for entry in entries]
     rows = []
-    for entry in entries:
-        path = str((suite_path.parent / entry))
-        g, digest = _load_graph(path, args.problem)
+    for entry, g, digest in loaded:
         meta, meta_ms, meta_timeout = _with_timeout(
             args.timeout, meta_solve, args.problem, g
         )

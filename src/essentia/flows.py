@@ -1,14 +1,21 @@
 """Minimum vertex separators with dual vertex-disjoint path systems.
 
-Unit vertex capacities are modelled by splitting every vertex w into
-w_in -> w_out with capacity one; arcs get effectively infinite capacity.
-Max-flow / min-cut then gives a separator whose size equals the number
-of internally vertex-disjoint paths returned (Menger equality), verified
-on construction.  The minimum cut is read off the last, failed
-augmenting search: the vertices it reached are the source side, and
-the paths are read off the residual capacities of the arcs.  The
-flow runs from s_out to t_in, so for s == t it packs directed cycles
-through s that meet only at s, and the separator meets every such cycle.
+The flow is the path system itself: into[w] and out[w] are w's
+neighbours on its path, or -1 when w is on no path.  Each augmenting BFS
+runs over the states 2w (w's in-copy) and 2w + 1 (its out-copy) and
+reads its moves off the links.  From an out-copy it moves to the in-copy
+of every successor, in ``d.successors`` order, then, when w is on a
+path, back to w's own in-copy.  From an in-copy it moves through to w's
+out-copy when w is free, else back to the out-copy of into[w].  These
+are the positive residual arcs of the network that splits each w into
+w_in -> w_out of capacity one, in the order its residual dicts yield
+them, so the searches, the separator and the paths are that network's.
+An augmenting path links u -> w for each arc it takes forward and
+unlinks w where it steps from w's out-copy back into its in-copy; those
+two steps rewrite every link it passes.  The minimum cut is read off the
+last, failed search: the in-copies it reached whose out-copies it did
+not; its size, checked on construction, is the number of paths.
+For s == t the paths are directed cycles through s that meet only at s.
 """
 from __future__ import annotations
 
@@ -32,30 +39,6 @@ class SeparatorResult:
         return len(self.separator)
 
 
-def _bfs_augment(cap: list[dict[int, int]], s: int, t: int) -> dict[int, int]:
-    """One BFS in the residual network; augments one unit along the path
-    found and returns the predecessor map.  When t is not in the map no
-    path exists, and its keys are exactly the vertices reachable from s."""
-    prev = {s: -1}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        if u == t:
-            break
-        for w, c in cap[u].items():
-            if c > 0 and w not in prev:
-                prev[w] = u
-                queue.append(w)
-    if t in prev:
-        x = t
-        while x != s:
-            p = prev[x]
-            cap[p][x] -= 1
-            cap[x][p] = cap[x].get(p, 0) + 1
-            x = p
-    return prev
-
-
 def min_vertex_separator(d: Digraph, s: int, t: int) -> SeparatorResult:
     """Minimum s-t vertex separator (excluding s, t) plus a maximum system
     of internally vertex-disjoint s->t paths of the same cardinality;
@@ -63,45 +46,52 @@ def min_vertex_separator(d: Digraph, s: int, t: int) -> SeparatorResult:
     if d.has_arc(s, t):
         raise SeparatorUndefined(f"arc ({s}, {t}) present: separator undefined")
     n = d.n
-    big = n + 1  # effectively infinite for unit-capacity flows
-
-    def v_in(w: int) -> int:
-        return 2 * w
-
-    def v_out(w: int) -> int:
-        return 2 * w + 1
-
-    cap: list[dict[int, int]] = [dict() for _ in range(2 * n)]
-    for w in range(n):
-        cap[v_in(w)][v_out(w)] = 1
-    for u, w in d.arcs():
-        cap[v_out(u)][v_in(w)] = big
-    source, sink = v_out(s), v_in(t)
-
+    into, out = [-1] * n, [-1] * n
+    source, sink = 2 * s + 1, 2 * t
     flow = 0
-    while sink in (reach := _bfs_augment(cap, source, sink)):
+    while True:
+        reach = {source: -1}  # state -> the state the search came from
+        queue = deque([source])
+        while queue:
+            x = queue.popleft()
+            if x == sink:
+                break
+            w = x >> 1
+            if x & 1:
+                moves = [2 * y for y in d.successors(w)]
+                if into[w] != -1:
+                    moves.append(x - 1)
+            else:
+                moves = (x + 1 if into[w] == -1 else 2 * into[w] + 1,)
+            for y in moves:
+                if y not in reach:
+                    reach[y] = x
+                    queue.append(y)
+        if sink not in reach:
+            break
         flow += 1
         if flow > n:
             raise AssertionError("flow exceeded vertex count")
+        x = sink
+        while x != source:
+            p = reach[x]
+            if p & 1:  # from u's out-copy into w's in-copy
+                u, w = p >> 1, x >> 1
+                if u == w:  # backed through w, which leaves its path
+                    into[w] = out[w] = -1
+                else:
+                    out[u], into[w] = w, u
+            x = p
+        into[t] = -1  # so that, for s == t, s's out-copy is not on a path
 
-    # Min cut: split arcs leaving the last search's reachable set.
-    separator = frozenset(
-        w for w in range(n) if v_in(w) in reach and v_out(w) not in reach
-    )
-
-    # Paths: arc u -> w carries flow exactly when its residual capacity
-    # dropped below big; unit vertex capacities leave every vertex other
-    # than s and t on at most one path, so each step has one successor.
-    def flow_successors(u: int) -> list[int]:
-        return [w for w in d.successors(u) if cap[v_out(u)][v_in(w)] < big]
-
+    separator = frozenset(w for w in range(n) if 2 * w in reach and 2 * w + 1 not in reach)
     paths = []
-    for w in flow_successors(s):
-        path = [s, w]
-        while path[-1] != t:
-            (nxt,) = flow_successors(path[-1])
-            path.append(nxt)
-        paths.append(tuple(path))
+    for w in d.successors(s):
+        if into[w] == s:
+            path = [s, w]
+            while path[-1] != t:
+                path.append(out[path[-1]])
+            paths.append(tuple(path))
 
     result = SeparatorResult(separator, tuple(paths))
     _verify(d, s, t, result)

@@ -11,7 +11,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from essentia.cli import EXIT_USAGE, main
+import essentia.cli as cli_mod
+from essentia.cli import EXIT_USAGE, _certificate_payload, main
 from essentia.generate import gnp, planted_flower
 from essentia.graphs import serialize_graph
 
@@ -71,6 +72,49 @@ def test_detect_fvs_friendship(capsys, friendship_file):
     assert report["result"]["selected"] == [0]
     cert = report["result"]["certificates"]["0"]
     assert cert["type"] == "flower" and len(cert["petals"]) == 3
+
+
+def test_detect_dfvs_petals(capsys, tmp_path):
+    path = tmp_path / "dfvs3.gr"
+    path.write_text(serialize_graph(planted_flower("dfvs", 3)))
+    code, out, _ = run(capsys, ["detect", "--problem", "dfvs", "--k", "2",
+                                "--input", str(path), "--json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["selected"] == [0] and "assignment" not in result
+    assert result["certificates"]["0"] == {
+        "type": "flower", "center": 0, "petals": [[0, 1, 2], [0, 3, 4], [0, 5, 6]]}
+
+
+def test_detect_doct_separator(capsys, tmp_path):
+    path = tmp_path / "doct3.gr"
+    path.write_text(serialize_graph(planted_flower("doct", 3)))
+    code, out, _ = run(capsys, ["detect", "--problem", "doct", "--k", "1",
+                                "--input", str(path), "--json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["selected"] == [0]
+    cert = result["certificates"]["0"]
+    assert cert == {"type": "separator", "vertex": 0, "size": 3,
+                    "separator": [[1, 1], [3, 1], [5, 1]], "paths": 3}
+    assert cert["paths"] == cert["size"]
+
+
+def test_detect_vc_lp_values(capsys, tmp_path):
+    path = tmp_path / "star.gr"
+    path.write_text("p ud 4 3\ne 1 2\ne 1 3\ne 1 4\n")
+    code, out, _ = run(capsys, ["detect", "--problem", "vc", "--k", "1",
+                                "--input", str(path), "--json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["selected"] == [0]
+    assert result["certificates"] == {"0": {"type": "lp-value", "value": "1"}}
+    assert result["assignment"] == ["1", "0", "0", "0"]
+
+
+def test_certificate_payload_rejects_unknown_type():
+    with pytest.raises(TypeError, match="str"):
+        _certificate_payload("not a certificate")
 
 
 def test_detect_cvd_dump_lp(capsys, tmp_path):
@@ -202,8 +246,6 @@ def test_verify_capped_instances_check_nothing(capsys):
 
 def test_verify_negative_control(capsys, monkeypatch):
     # Break the detector and watch verification fail.
-    import essentia.cli as cli_mod
-
     def broken(task):
         out = {"skipped": False, "failures": [], "checked": 1}
         out["failures"].append({"k": 0, "reason": "G1 violated: stub", "graph": "x"})
@@ -219,8 +261,6 @@ def test_verify_negative_control(capsys, monkeypatch):
 def pool_sizes(monkeypatch):
     """Replace the pool with a serial stand-in that records its size, so
     no worker process is started; returns the recorded sizes."""
-    import essentia.cli as cli_mod
-
     sizes = []
 
     class RecordingPool:
@@ -377,6 +417,25 @@ def test_bench_mismatch_rejected(capsys, tmp_path, c5_file):
                                 "--suite", str(suite)])
     assert code == 3
     assert "expected directed" in err
+
+
+@pytest.mark.parametrize("last,message", [
+    ("missing.gr", "cannot read"),
+    ("bad.gr", "self-loop"),
+    ("c5.gr", "expected directed"),
+])
+def test_bench_checks_every_entry_before_timing(capsys, tmp_path, monkeypatch,
+                                                last, message):
+    (tmp_path / "g2.gr").write_text(serialize_graph(gnp(8, 0.3, 2, directed=True)))
+    (tmp_path / "bad.gr").write_text("p di 2 1\ne 1 1\n")
+    (tmp_path / "c5.gr").write_text("p ud 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
+    suite = tmp_path / "suite.txt"
+    suite.write_text(f"g2.gr\n{last}\n")
+    calls = []
+    monkeypatch.setattr(cli_mod, "meta_solve", lambda *a: calls.append(a))
+    code, out, err = run(capsys, ["bench", "--problem", "dfvs", "--suite", str(suite)])
+    assert code == 3 and message in err
+    assert calls == [] and out == ""
 
 
 def test_python_dash_m_runs_the_cli():
