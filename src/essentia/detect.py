@@ -233,7 +233,7 @@ def detector_factory(problem: str, g: Graph | Digraph) -> Callable[[int], Detect
     def detector(k: int) -> DetectionResult:
         if k >= g.n:
             # opt < n <= k on non-empty graphs: G2 asks for nothing, {} meets G1.
-            return DetectionResult(problem, k, frozenset())
+            return DetectionResult(problem, k, frozenset(), {}, extra)
         chosen = sorted(by_score[bisect_right(keys, bar(k)):])
         certs = {v: scored[v][1] for v in chosen}
         return DetectionResult(problem, k, frozenset(chosen), certs, extra)

@@ -6,8 +6,11 @@ Everything here re-derives class membership from scratch on bitmasks
 reachability, maximum-cardinality-search chordality) so that the oracle
 shares no code path with the production kernels it is used to judge.
 
-Instances decompose into connected components before enumeration; caps
-apply per component and exceeding one raises, never truncates.
+Each public call enumerates every connected component once, into one
+table of (component, optimum, all optimal solutions); the essential
+set's avoidance test then enumerates a single subset size, which the
+heredity of every target class makes exact.  Caps apply per component
+and exceeding one raises, never truncates.
 """
 from __future__ import annotations
 
@@ -66,32 +69,28 @@ class _Masks:
                 self.und[u] |= 1 << v
                 self.und[v] |= 1 << u
 
-    def components(self) -> list[tuple[int, ...]]:
-        seen = 0
-        comps = []
-        for r in range(self.n):
-            if seen >> r & 1:
-                continue
-            comp = 1 << r
-            frontier = [r]
-            while frontier:
-                x = frontier.pop()
-                fresh = self.und[x] & ~comp
-                while fresh:
-                    b = fresh & -fresh
-                    comp |= b
-                    frontier.append(b.bit_length() - 1)
-                    fresh &= fresh - 1
-            seen |= comp
-            comps.append(tuple(_bits(comp)))
-        return comps
-
-
 def _bits(mask: int):
     while mask:
         b = mask & -mask
         yield b.bit_length() - 1
         mask &= mask - 1
+
+
+def _flood(und: list[int], alive: int) -> list[int]:
+    """Masks of the components that alive induces under und, ordered by
+    least vertex."""
+    comps = []
+    while alive:
+        comp = frontier = alive & -alive
+        while frontier:
+            reach = 0
+            for x in _bits(frontier):
+                reach |= und[x]
+            frontier = reach & alive & ~comp
+            comp |= frontier
+        comps.append(comp)
+        alive &= ~comp
+    return comps
 
 
 def _edgeless(m: _Masks, alive: int) -> bool:
@@ -100,25 +99,7 @@ def _edgeless(m: _Masks, alive: int) -> bool:
 
 def _forest(m: _Masks, alive: int) -> bool:
     edges = sum((m.und[v] & alive).bit_count() for v in _bits(alive)) // 2
-    n_alive = alive.bit_count()
-    comps = 0
-    seen = 0
-    for r in _bits(alive):
-        if seen >> r & 1:
-            continue
-        comps += 1
-        grow = 1 << r
-        frontier = [r]
-        while frontier:
-            x = frontier.pop()
-            fresh = m.und[x] & alive & ~grow
-            while fresh:
-                b = fresh & -fresh
-                grow |= b
-                frontier.append(b.bit_length() - 1)
-                fresh &= fresh - 1
-        seen |= grow
-    return edges == n_alive - comps
+    return edges == alive.bit_count() - len(_flood(m.und, alive))
 
 
 def _two_colorable(m: _Masks, alive: int) -> bool:
@@ -215,28 +196,49 @@ def feasible(problem: str, g: Graph | Digraph, removed) -> bool:
     return _FEASIBLE[problem](m, alive)
 
 
-def _component_optima(
-    problem: str, m: _Masks, comp: tuple[int, ...], cap: int
-) -> tuple[int, list[frozenset[int]]]:
-    if len(comp) > cap:
-        raise OracleCapExceeded(
-            f"component of size {len(comp)} exceeds cap {cap}"
-        )
+def _feasible_subsets(problem: str, m: _Masks, comp: tuple[int, ...], pool, k: int):
+    """The k-subsets of pool whose deletion leaves comp in the problem's
+    class, in combinations order."""
     check = _FEASIBLE[problem]
     full = 0
     for v in comp:
         full |= 1 << v
-    for k in range(len(comp) + 1):
-        sols = []
-        for sub in combinations(comp, k):
-            alive = full
-            for v in sub:
-                alive &= ~(1 << v)
-            if check(m, alive):
-                sols.append(frozenset(sub))
-        if sols:
-            return k, sols
-    raise AssertionError("deleting the whole component must be feasible")
+    for sub in combinations(pool, k):
+        alive = full
+        for v in sub:
+            alive &= ~(1 << v)
+        if check(m, alive):
+            yield frozenset(sub)
+
+
+def _over_cap(comp: tuple[int, ...], cap: int) -> None:
+    if len(comp) > cap:
+        raise OracleCapExceeded(f"component of size {len(comp)} exceeds cap {cap}")
+
+
+def _optima(problem: str, m: _Masks, cap: int) -> list:
+    """(component, optimum, all optimal solutions) for every component,
+    by increasing-size subset enumeration."""
+    table = []
+    for mask in _flood(m.und, (1 << m.n) - 1):
+        comp = tuple(_bits(mask))
+        _over_cap(comp, cap)
+        for k in range(len(comp) + 1):
+            if sols := list(_feasible_subsets(problem, m, comp, comp, k)):
+                break
+        else:
+            raise AssertionError("deleting the whole component must be feasible")
+        table.append((comp, k, sols))
+    return table
+
+
+def _opt_solutions(table: list, caps: OracleCaps) -> tuple[int, tuple[frozenset[int], ...]]:
+    combined: list[frozenset[int]] = [frozenset()]
+    for _, _, sols in table:
+        combined = [acc | s for acc in combined for s in sols]
+        if len(combined) > caps.max_solutions:
+            raise OracleCapExceeded("too many optimal solutions to enumerate")
+    return sum(k for _, k, _ in table), tuple(combined)
 
 
 def brute_opt(
@@ -244,40 +246,41 @@ def brute_opt(
 ) -> tuple[int, tuple[frozenset[int], ...]]:
     """Exact optimum and all optimal solutions, by increasing-size subset
     enumeration per connected component."""
-    m = _Masks(g)
-    opt = 0
-    per_comp: list[list[frozenset[int]]] = []
-    for comp in m.components():
-        k, sols = _component_optima(problem, m, comp, caps.opt_component)
-        opt += k
-        per_comp.append(sols)
-    combined: list[frozenset[int]] = [frozenset()]
-    for sols in per_comp:
-        combined = [acc | s for acc in combined for s in sols]
-        if len(combined) > caps.max_solutions:
-            raise OracleCapExceeded("too many optimal solutions to enumerate")
-    return opt, tuple(combined)
+    return _opt_solutions(_optima(problem, _Masks(g), caps.opt_component), caps)
 
 
-def _exists_avoiding_within(
-    problem: str, m: _Masks, comp: tuple[int, ...], v: int, budget: int
-) -> bool:
-    """Is there a feasible deletion set of the component avoiding v with
-    size at most budget?"""
-    check = _FEASIBLE[problem]
-    others = [u for u in comp if u != v]
-    full = 0
-    for u in comp:
-        full |= 1 << u
-    top = min(budget, len(others))
-    for k in range(top + 1):
-        for sub in combinations(others, k):
-            alive = full
-            for u in sub:
-                alive &= ~(1 << u)
-            if check(m, alive):
-                return True
-    return False
+def _approximation(problem: str, c: float | None) -> float:
+    """c, or the problem's default when None; c-essential vertices are
+    defined for c >= 1 only (infinity included)."""
+    c = PROBLEMS[problem].c if c is None else c
+    if not c >= 1:
+        raise ValueError(f"c must be at least 1, got {c}")
+    return c
+
+
+def _essential(problem: str, m: _Masks, table: list, c: float, cap: int) -> frozenset[int]:
+    """All vertices contained in every feasible solution of size at most
+    floor(c * opt), from the optima table of m.
+
+    A vertex v of a component is essential when it lies in every optimum
+    of the component and no feasible deletion set of comp - v fits the
+    component's share of the bound.  The avoidance test enumerates one
+    size only, min(share, |comp| - 1): every target class is hereditary,
+    so a feasible set of size at most the share that avoids v grows,
+    inside comp - v, to a feasible set of exactly that size.
+    """
+    for comp, _, _ in table:
+        _over_cap(comp, cap)
+    opt = sum(k for _, k, _ in table)
+    bound = floor(min(c * opt, m.n)) if opt else 0  # c * opt may be inf
+    essential = set()
+    for comp, comp_opt, sols in table:
+        top = min(bound - (opt - comp_opt), len(comp) - 1)
+        for v in frozenset(comp).intersection(*sols):
+            others = [u for u in comp if u != v]
+            if next(_feasible_subsets(problem, m, comp, others, top), None) is None:
+                essential.add(v)
+    return frozenset(essential)
 
 
 def brute_essential(
@@ -287,34 +290,11 @@ def brute_essential(
     caps: OracleCaps = OracleCaps(),
 ) -> frozenset[int]:
     """All vertices contained in every feasible solution of size at most
-    floor(c * opt)."""
+    floor(c * opt); raises ValueError unless c >= 1."""
+    c = _approximation(problem, c)
     m = _Masks(g)
-    comps = m.components()
-    comp_data = []
-    opt = 0
-    for comp in comps:
-        if len(comp) > caps.essential_component:
-            raise OracleCapExceeded(
-                f"component of size {len(comp)} exceeds cap {caps.essential_component}"
-            )
-        k, sols = _component_optima(problem, m, comp, caps.essential_component)
-        comp_data.append((comp, k, sols))
-        opt += k
-    bound = floor(min(c * opt, g.n))  # no solution exceeds n; c * opt may be inf
-    essential = set()
-    for comp, comp_opt, sols in comp_data:
-        # Essential vertices lie in every optimal solution; intersect
-        # component optima first to prune the expensive avoidance test.
-        common = frozenset(comp)
-        for s in sols:
-            common &= s
-            if not common:
-                break
-        comp_budget = bound - (opt - comp_opt)
-        for v in sorted(common):
-            if not _exists_avoiding_within(problem, m, comp, v, comp_budget):
-                essential.add(v)
-    return frozenset(essential)
+    cap = caps.essential_component
+    return _essential(problem, m, _optima(problem, m, cap), c, cap)
 
 
 def oracle_report(
@@ -323,10 +303,11 @@ def oracle_report(
     c: float | None = None,
     caps: OracleCaps = OracleCaps(),
 ) -> OracleReport:
-    if c is None:
-        c = PROBLEMS[problem].c
-    opt, sols = brute_opt(problem, g, caps)
-    essential = brute_essential(problem, g, c, caps)
+    c = _approximation(problem, c)
+    m = _Masks(g)
+    table = _optima(problem, m, caps.opt_component)
+    opt, sols = _opt_solutions(table, caps)
+    essential = _essential(problem, m, table, c, caps.essential_component)
     return OracleReport(problem, c, opt, sols, essential)
 
 
@@ -336,19 +317,14 @@ def _simple_cycles_through(
     """Vertex sets of simple cycles through v (deduplicated)."""
     out: set[frozenset[int]] = set()
     directed = isinstance(g, Digraph)
-
-    def nbrs(x: int):
-        return g.successors(x) if directed else g.neighbors(x)
-
-    def closes(x: int) -> bool:
-        return g.has_arc(x, v) if directed else g.has_edge(x, v)
-
+    nbrs = g.successors if directed else g.neighbors
+    adjacent = g.has_arc if directed else g.has_edge
     path = [v]
     on_path = {v}
 
     def extend() -> None:
         x = path[-1]
-        if len(path) >= (2 if directed else 3) and closes(x):
+        if len(path) >= (2 if directed else 3) and adjacent(x, v):
             if directed or path[1] < path[-1]:  # one orientation per cycle
                 out.add(frozenset(path))
         for y in nbrs(x):
@@ -412,27 +388,21 @@ def verify_detection(
     """Check the detection contract of a returned set against the oracle:
     containment in some optimal solution when opt <= k, and coverage of
     all essential vertices when opt == k."""
-    if c is None:
-        c = PROBLEMS[problem].c
+    c = _approximation(problem, c)
     chosen = frozenset(chosen)
     m = _Masks(g)
-    comps = m.components()
-    opt = 0
-    per_comp = []
-    for comp in comps:
-        ck, sols = _component_optima(problem, m, comp, caps.opt_component)
-        opt += ck
-        per_comp.append((frozenset(comp), sols))
+    table = _optima(problem, m, caps.opt_component)
+    opt = sum(ck for _, ck, _ in table)
     if opt <= k:
-        for comp_set, sols in per_comp:
-            part = chosen & comp_set
+        for comp, _, sols in table:
+            part = chosen.intersection(comp)
             if not any(part <= s for s in sols):
                 return False, (
                     f"G1 violated: {sorted(part)} lies in no optimal solution "
                     f"of its component"
                 )
     if opt == k:
-        essential = brute_essential(problem, g, c, caps)
+        essential = _essential(problem, m, table, c, caps.essential_component)
         if not essential <= chosen:
             missing = sorted(essential - chosen)
             return False, f"G2 violated: essential vertices {missing} not selected"

@@ -112,6 +112,22 @@ def test_detect_vc_lp_values(capsys, tmp_path):
     assert result["assignment"] == ["1", "0", "0", "0"]
 
 
+def test_detect_vc_payload_keeps_its_shape_at_k_n(capsys, tmp_path):
+    # At k >= n nothing is selected, but the assignment is still printed.
+    path = tmp_path / "star.gr"
+    path.write_text("p ud 4 3\ne 1 2\ne 1 3\ne 1 4\n")
+    results = []
+    for k in ("3", "4"):
+        code, out, _ = run(capsys, ["detect", "--problem", "vc", "--k", k,
+                                    "--input", str(path), "--json"])
+        assert code == 0
+        results.append(json.loads(out)["result"])
+    below, at_n = results
+    assert below["selected"] == [0] and at_n["selected"] == []
+    assert below.keys() == at_n.keys()
+    assert below["assignment"] == at_n["assignment"] == ["1", "0", "0", "0"]
+
+
 def test_certificate_payload_rejects_unknown_type():
     with pytest.raises(TypeError, match="str"):
         _certificate_payload("not a certificate")

@@ -1,11 +1,14 @@
 """Oracle self-checks: feasibility, optima, essential sets, caps."""
 from __future__ import annotations
 
+import math
 import random
+from itertools import combinations, product
 
 import pytest
 
 from conftest import complete_graph, cycle_graph, random_graph
+from essentia.generate import gnp
 from essentia.graphs import Digraph, Graph
 from essentia.oracle import (
     OracleCapExceeded,
@@ -17,6 +20,7 @@ from essentia.oracle import (
     oracle_report,
     verify_detection,
 )
+from essentia.problems import PROBLEMS
 
 
 def test_brute_opt_named():
@@ -137,3 +141,83 @@ def test_verify_detection_negative_controls():
 def test_verify_detection_positive():
     ok, msg = verify_detection("oct", cycle_graph(5), 1, frozenset())
     assert ok, msg
+
+
+@pytest.mark.parametrize("c", [0.999, 0.5, 0, -2, math.nan])
+def test_c_below_one_is_refused(c):
+    # Below c = 1 no solution is c-approximate when opt > 0, and NaN
+    # compares false with every size.
+    g = cycle_graph(5)
+    calls = [
+        lambda: brute_essential("oct", g, c),
+        lambda: oracle_report("oct", g, c),
+        lambda: verify_detection("oct", g, 1, frozenset(), c),  # opt == k
+        lambda: verify_detection("oct", g, 3, frozenset(), c),  # G2 not checked
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="c must be at least 1"):
+            call()
+
+
+def test_infinite_c():
+    # inf * 0 is NaN; opt = 0 gives bound 0, and any opt > 0 bound n.
+    empty = Graph(3, [])
+    assert brute_essential("vc", empty, math.inf) == frozenset()
+    assert oracle_report("vc", empty, math.inf).essential == frozenset()
+    assert verify_detection("vc", empty, 0, frozenset(), math.inf) == (True, "ok")
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert brute_essential("vc", star, math.inf) == brute_essential("vc", star, 4) == frozenset()
+
+
+DEFINITION_CS = (1, 1.5, 2, 3, math.inf)
+
+
+def _by_definition(problem, g):
+    """opt, the set of optimal solutions and every feasible deletion set,
+    from whole-graph subset enumeration through feasible() alone."""
+    solutions = [frozenset(s) for k in range(g.n + 1)
+                 for s in combinations(range(g.n), k) if feasible(problem, g, s)]
+    opt = len(solutions[0])
+    return opt, {s for s in solutions if len(s) == opt}, solutions
+
+
+def _essential_by_definition(g, opt, solutions, c):
+    # Optima are c-approximate at every c >= 1, inf * 0 included.
+    within = [s for s in solutions if len(s) == opt or len(s) <= c * opt]
+    return frozenset(range(g.n)).intersection(*within)
+
+
+def _verdict_by_definition(opt, optima, essential, k, chosen):
+    if opt <= k and not any(chosen <= s for s in optima):
+        return "G1"
+    if opt == k and not essential <= chosen:
+        return "G2"
+    return "ok"
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_oracle_matches_its_definition(problem):
+    # No components and no single-size avoidance test: every answer is
+    # read off the list of all feasible deletion sets of the whole graph.
+    directed = PROBLEMS[problem].directed
+    rng = random.Random(7)
+    for n, p, _ in product(range(9), (0.2, 0.35, 0.5, 0.7), range(3)):
+        g = gnp(n, p, rng.randrange(1000), directed=directed)
+        opt, optima, solutions = _by_definition(problem, g)
+        found, sols = brute_opt(problem, g)
+        assert (found, set(sols)) == (opt, optima) and len(sols) == len(optima)
+        for c in DEFINITION_CS:
+            expected = _essential_by_definition(g, opt, solutions, c)
+            assert brute_essential(problem, g, c) == expected, (n, p, c)
+        report = oracle_report(problem, g)
+        essential = _essential_by_definition(g, opt, solutions, PROBLEMS[problem].c)
+        assert (report.opt, set(report.optimal_solutions), report.essential) == (
+            opt, optima, essential)
+        some = sorted(rng.choice(sorted(optima, key=sorted)))
+        chosen_sets = [frozenset(), frozenset(rng.sample(range(n), rng.randint(0, n))),
+                       frozenset(rng.sample(some, rng.randint(0, len(some))))]
+        for k in range(max(0, opt - 1), opt + 2):
+            for chosen in chosen_sets:
+                ok, msg = verify_detection(problem, g, k, chosen)
+                verdict = _verdict_by_definition(opt, optima, essential, k, chosen)
+                assert (ok, msg[:2]) == (verdict == "ok", verdict[:2]), (n, p, k, chosen)

@@ -91,6 +91,15 @@ def test_only_cli_and_init_import_the_oracle():
     assert set(found) <= allowed, f"modules importing the oracle: {found}"
 
 
+def test_oracle_imports_only_graphs_and_problems():
+    # The converse: the oracle re-derives every class check itself, so it
+    # takes from the package only the graph types and the problem table.
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    found = {name.split(".")[1] for name in _imported_modules(tree)
+             if name.startswith("essentia.")}
+    assert found <= {"graphs", "problems"}, f"oracle.py imports {sorted(found)}"
+
+
 def _calls_by_caller(profile: cProfile.Profile, fn) -> dict[tuple[str, str], int]:
     """Calls of fn that profile recorded, keyed by the caller's (file
     name, function name)."""
