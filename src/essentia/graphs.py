@@ -20,12 +20,15 @@ The on-disk format is line based:
     e <u> <v>         one line per edge, 1-based vertex ids
     c ...             comment, ignored
 
-Self-loops, duplicate edges and out-of-range ids are rejected with the
-offending line number.
+Self-loops, duplicate edges, out-of-range ids and a header of more than
+``MAX_VERTICES`` vertices are rejected with the offending line number.
 """
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
+
+
+MAX_VERTICES = 10**6  # the most vertices parse_graph accepts
 
 
 class GraphError(ValueError):
@@ -229,6 +232,8 @@ def parse_graph(text: str) -> Graph | Digraph:
                 raise GraphFormatError(line_no, f"malformed header {line!r}") from None
             if n < 0 or m < 0:
                 raise GraphFormatError(line_no, "negative count in header")
+            if n > MAX_VERTICES:
+                raise GraphFormatError(line_no, f"more than {MAX_VERTICES} vertices")
             header = (kinds[fields[1]], n, m, line_no)
         elif fields[0] == "e":
             if header is None:

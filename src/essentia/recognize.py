@@ -7,9 +7,8 @@ order, perfect elimination order); on the no side it is the list
 ``PROBLEMS[p].forbidden_structure`` returns, the problem's shortest
 forbidden structure in cycle order.  Verdicts come from one pass where
 there is one (BFS 2-coloring, Kahn's algorithm, the LexBFS order check,
-and for forests the edge count, as a graph is a forest exactly when it
-has n minus its number of components edges), so the all-roots structure
-search runs only on the no side.
+and for forests the cycle rank m - n + c, which is 0 exactly on
+forests), so the all-roots structure search runs only on the no side.
 
 Two search cores serve several callers.  ``_closed_walk`` is the
 per-root BFS for a shortest (odd) closed walk that shortest_dicycle,
@@ -19,8 +18,10 @@ incumbent.  ``light_holes`` is the one hole search, a sink Dijkstra per
 (center, neighbour): shortest_hole (and with it is_chordal's witness)
 runs it under unit weights, and the CVD LP's separation oracle under the
 scaled LP assignment.  shortest_cycle keeps its own per-root BFS, cut
-off at the incumbent.  Roots that lie on no cycle because they have no
-neighbours (no predecessors, for digraphs) are skipped.
+off at the incumbent; it measures each cycle by the BFS depths and
+builds only one shorter than the incumbent.  Roots that lie on no cycle
+because they have no neighbours (no predecessors, for digraphs) are
+skipped.
 
 The five shortest-structure searches take a floor (default 0), a length
 the caller knows the answer cannot go below, and stop once the incumbent
@@ -66,25 +67,6 @@ def _cycle_from_walk(walk: Sequence[int]) -> list[int]:
     return best
 
 
-def _meet_paths(u: int, w: int, parent: dict[int, int], depth: dict[int, int]) -> list[int]:
-    """Cycle through edge (u, w) and the two tree paths to their meeting
-    point, as a vertex list in cycle order."""
-    pu, pw = u, w
-    path_u, path_w = [pu], [pw]
-    while depth[pu] > depth[pw]:
-        pu = parent[pu]
-        path_u.append(pu)
-    while depth[pw] > depth[pu]:
-        pw = parent[pw]
-        path_w.append(pw)
-    while pu != pw:
-        pu, pw = parent[pu], parent[pw]
-        path_u.append(pu)
-        path_w.append(pw)
-    # path_u ends at the meeting point; keep it once.
-    return path_u + list(reversed(path_w[:-1]))
-
-
 def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
     """Return (True, BFS 2-coloring, roots in id order) or (False,
     shortest odd cycle)."""
@@ -105,9 +87,14 @@ def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
     return True, color
 
 
+def cycle_rank(g: Graph) -> int:
+    """mu = m - n + c, the number of edges a spanning forest leaves out."""
+    return g.m - g.n + len(components(g))
+
+
 def is_acyclic_undirected(g: Graph) -> tuple[bool, list[int] | None]:
     """Return (True, None) or (False, shortest cycle)."""
-    if g.m == g.n - len(components(g)):
+    if cycle_rank(g) == 0:
         return True, None
     return False, shortest_cycle(g)
 
@@ -272,11 +259,11 @@ def is_chordal(g: Graph) -> tuple[bool, list[int]]:
 
 
 def _closed_walk(
-    s: int, succ: Callable[[int], Sequence[int]], odd: bool, limit: int
+    s: int, succ: Callable[[int], Sequence[int]], n: int, odd: bool, limit: int
 ) -> list[int] | None:
     """A shortest closed walk through s of at most limit edges, of odd
     length when odd is set, with walk[0] == walk[-1] == s; None if there
-    is none.
+    is none.  n is the vertex count of the graph succ walks.
 
     BFS over states 2v + parity, level by level, where a step u -> w
     (w in succ(u)) flips the parity only when odd is set: the walk runs
@@ -286,13 +273,15 @@ def _closed_walk(
     """
     flip = int(odd)
     goal = 2 * s + flip
-    prev: dict[int, int] = {2 * s: -1}
+    prev = [-2] * (2 * n)  # -2: not reached
+    prev[2 * s] = -1
     level = [2 * s]
     for _ in range(limit):
         following = []
         for x in level:
+            bit = (x & 1) ^ flip
             for w in succ(x >> 1):
-                y = 2 * w + ((x & 1) ^ flip)
+                y = 2 * w + bit
                 if y == goal:
                     walk = [s]
                     while x != -1:
@@ -300,7 +289,7 @@ def _closed_walk(
                         x = prev[x]
                     walk.reverse()
                     return walk
-                if y not in prev:
+                if prev[y] == -2:
                     prev[y] = x
                     following.append(y)
         if not following:
@@ -316,29 +305,47 @@ def is_odd_dicycle_free(d: Digraph) -> tuple[bool, list[int] | None]:
 
 
 def shortest_cycle(g: Graph, floor: int = 0) -> list[int] | None:
-    """A shortest cycle (vertex list), or None if the graph is a forest."""
+    """A shortest cycle (vertex list), or None if the graph is a forest.
+
+    A BFS per root; each non-tree edge (u, w) closes a cycle through the
+    tree paths up to their meeting vertex, of length depth[u] + depth[w]
+    + 1 - 2 depth[meet].  The list is built only for a cycle shorter than
+    the incumbent, in the order u .. meet .. w."""
+    adj = g.adjacency
     best: list[int] | None = None
     for root in range(g.n):
         if best is not None and len(best) <= floor:
             break
-        if not g.neighbors(root):
+        if not adj[root]:
             continue
-        parent = {root: -1}
-        depth = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            if best is not None and 2 * depth[u] + 1 > len(best):
+        parent = [-2] * g.n  # -2: not reached
+        depth = [0] * g.n
+        parent[root] = -1
+        queue = [root]
+        for u in queue:  # queue grows while it is read: a BFS
+            du, up = depth[u], parent[u]
+            if best is not None and 2 * du + 1 > len(best):
                 break
-            for w in g.neighbors(u):
-                if w not in parent:
+            for w in adj[u]:
+                if parent[w] == -2:
                     parent[w] = u
-                    depth[w] = depth[u] + 1
+                    depth[w] = du + 1
                     queue.append(w)
-                elif parent[u] != w:
-                    cycle = _meet_paths(u, w, parent, depth)
-                    if len(cycle) >= 3 and (best is None or len(cycle) < len(best)):
-                        best = cycle
+                elif w != up:
+                    pu, pw = u, w  # climb to the meeting vertex
+                    while pu != pw:
+                        if depth[pu] >= depth[pw]:
+                            pu = parent[pu]
+                        else:
+                            pw = parent[pw]
+                    if best is None or du + depth[w] + 1 - 2 * depth[pu] < len(best):
+                        best = [u]
+                        while best[-1] != pu:
+                            best.append(parent[best[-1]])
+                        tail = [w]
+                        while tail[-1] != pu:
+                            tail.append(parent[tail[-1]])
+                        best += reversed(tail[:-1])  # the meeting vertex once
     return best
 
 
@@ -351,7 +358,7 @@ def shortest_odd_cycle(g: Graph, floor: int = 0) -> list[int] | None:
         # A walk is kept only if its edge count is at most len(best); a
         # shortest odd closed walk has at most 2n edges.
         limit = 2 * g.n if best is None else len(best)
-        walk = _closed_walk(s, g.neighbors, True, limit)
+        walk = _closed_walk(s, g.neighbors, g.n, True, limit)
         if walk is not None:
             cand = _cycle_from_walk(walk)
             if best is None or len(cand) < len(best):
@@ -370,7 +377,7 @@ def _shortest_dicycle(d: Digraph, odd: bool, floor: int) -> list[int] | None:
             continue
         # Only a walk with fewer edges than the incumbent's replaces it.
         limit = 2 * d.n if walk is None else len(walk) - 2
-        cand = _closed_walk(s, d.successors, odd, limit)
+        cand = _closed_walk(s, d.successors, d.n, odd, limit)
         if cand is not None:
             walk = cand
     if walk is None:

@@ -14,9 +14,11 @@ The branching solver is a branch-and-bound that still returns the exact
 minimum within budget.  It isolates the branched vertex (``isolate``,
 the unchecked one-vertex step of ``delete_vertices``).  At each
 node a greedy packing of vertex-disjoint forbidden structures, starting
-with the node's own structure, bounds the minimum from below: the node
-fails when the packing exceeds the budget, and returns as soon as a
-child's set meets the bound.  After each solution the budget drops to
+with the node's own structure, bounds the minimum from below; when the
+packing fits the budget and the problem has a ``lower_bound`` (fvs's
+cyclomatic bound), the bound is the larger of the two.  The node fails
+when the bound exceeds the budget, and returns as soon as a child's set
+meets it.  After each solution the budget drops to
 one below its size, so later children search for smaller sets only.
 
 Floor.  Isolating vertices never shortens a shortest forbidden
@@ -125,6 +127,8 @@ def _branch(
     if structure is None:
         return []
     bound = _packing_bound(prob, h, mask, structure, b, memo)
+    if bound <= b and prob.lower_bound is not None:
+        bound = max(bound, prob.lower_bound(h))
     if bound > b:
         return None
     best: list[int] | None = None

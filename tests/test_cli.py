@@ -172,6 +172,14 @@ def test_detect_parse_error(capsys, tmp_path):
     assert "self-loop" in err
 
 
+def test_huge_vertex_count_is_an_input_error(capsys, tmp_path):
+    big = tmp_path / "big.gr"
+    big.write_text("p ud 99999999999999999999 0\n")
+    code, _, err = run(capsys, ["solve", "--problem", "fvs", "--input", str(big)])
+    assert code == 3
+    assert "more than" in err
+
+
 def test_solve_oct_c5(capsys, c5_file):
     code, out, _ = run(capsys, ["solve", "--problem", "oct",
                                 "--input", c5_file, "--json"])

@@ -15,6 +15,7 @@ from essentia.graphs import (
     Graph,
     GraphError,
     GraphFormatError,
+    MAX_VERTICES,
     components,
     delete_vertices,
     induced,
@@ -130,6 +131,15 @@ def test_parse_errors(text, fragment):
     with pytest.raises(GraphFormatError) as exc:
         parse_graph(text)
     assert fragment in str(exc.value)
+
+
+def test_parse_refuses_a_vertex_count_above_the_limit():
+    # Refused at the header, before any vertex is allocated.
+    assert parse_graph("p ud 3 0\n").n == 3
+    for n in (MAX_VERTICES + 1, 99999999999999999999):
+        with pytest.raises(GraphFormatError, match="more than") as exc:
+            parse_graph(f"c big\np ud {n} 1\ne 1 2\n")
+        assert exc.value.line_no == 2
 
 
 def test_parse_error_reports_line_number():

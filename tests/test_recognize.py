@@ -15,7 +15,8 @@ from conftest import (
     random_digraph,
     random_graph,
 )
-from essentia.graphs import Digraph, Graph, isolate
+from essentia.generate import gnp
+from essentia.graphs import Digraph, Graph, delete_vertices, isolate
 from essentia.problems import PROBLEMS
 from essentia.recognize import (
     is_acyclic_directed,
@@ -29,6 +30,7 @@ from essentia.recognize import (
     shortest_odd_cycle,
     shortest_odd_dicycle,
 )
+from reference_cycle import reference_shortest_cycle
 
 
 def assert_cycle(g: Graph, cycle, odd=False, min_len=3):
@@ -361,6 +363,18 @@ def test_cycle_searches_vs_networkx(seed):
         assert_dicycle(d, odd, odd=True)
         found = _shortest_length(nx.simple_cycles(D, length_bound=len(odd)), odd=True)
         assert found == len(odd)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.4])
+def test_shortest_cycle_matches_reference(p):
+    # The same list as the search that builds every cycle it meets, at
+    # floors 0, 3 and 4, on gnp and on gnp with a quarter of it isolated.
+    for n in range(3, 61):
+        g = gnp(n, p, n)
+        cut = delete_vertices(g, random.Random(n).sample(range(n), n // 4))
+        for h in (g, cut):
+            for floor in (0, 3, 4):
+                assert shortest_cycle(h, floor) == reference_shortest_cycle(h, floor)
 
 
 # The five structure searches, and whether each runs on digraphs.

@@ -4,9 +4,13 @@ from __future__ import annotations
 import gc
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    disjoint_union,
     complete_graph,
     cycle_graph,
     load_bench_module,
@@ -18,9 +22,15 @@ from conftest import (
 from essentia import generate
 from essentia.detect import detector_factory
 from essentia.generate import gnp, planted_ess
-from essentia.graphs import Digraph, Graph, delete_vertices
-from essentia.oracle import brute_opt, feasible, oracle_report
-from essentia.problems import PROBLEM_IDS, PROBLEMS
+from essentia.graphs import Digraph, Graph, delete_vertices, isolate
+from essentia.oracle import OracleCaps, brute_opt, feasible, oracle_report
+from essentia.problems import (
+    PROBLEM_IDS,
+    PROBLEMS,
+    core_degrees,
+    cyclomatic_bound,
+)
+from essentia.recognize import cycle_rank
 from essentia.solve import exact_budgeted_solve, meta_solve
 
 
@@ -218,5 +228,61 @@ def test_benchmark_node_counts_are_pinned(monkeypatch):
             meta_solve(inst.problem, inst.build(generate)).solver_nodes
             for inst in instances))
     assert totals == {
-        "branch-gnp": (30, 4180), "planted-ess": (48, 336), "cvd-lp": (24, 307),
+        "branch-gnp": (30, 3424), "planted-ess": (48, 336), "cvd-lp": (24, 307),
     }
+
+
+def test_only_fvs_has_a_lower_bound():
+    assert [p for p in PROBLEM_IDS if PROBLEMS[p].lower_bound] == ["fvs"]
+
+
+def test_cyclomatic_bound_named():
+    # Each of these is tight, so a bound off by one either way fails.
+    # Pendant leaves raise 0's degree to 4 but not its 2-core degree, 2.
+    leafy = Graph(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 6), (0, 7)])
+    cases = [
+        (path_graph(6), 0), (Graph(3, []), 0), (cycle_graph(7), 1),
+        (disjoint_union(*[complete_graph(3)] * 4), 4), (complete_graph(4), 2),
+        (petersen_graph(), 3), (friendship(5), 1), (leafy, 2),
+    ]
+    for g, bound in cases:
+        assert cyclomatic_bound(g) == bound == brute_opt("fvs", g)[0]
+    assert cyclomatic_bound(complete_graph(5)) == 2  # opt 3: mu 6, drops 3 + 3
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cyclomatic_bound_at_most_the_oracle_optimum(seed):
+    rng = random.Random(5_200 + seed)
+    g = random_graph(rng, rng.randint(1, 14), rng.choice([0.15, 0.25, 0.35, 0.45]))
+    assert cyclomatic_bound(g) <= brute_opt("fvs", g, OracleCaps(opt_component=14))[0]
+
+
+@pytest.mark.parametrize("n,seed", [(n, s) for n in (20, 25, 30, 35) for s in range(3)]
+                         + [(40, 1)])
+def test_cyclomatic_bound_at_most_the_meta_optimum(n, seed):
+    g = gnp(n, 0.15, seed)
+    assert cyclomatic_bound(g) <= len(meta_solve("fvs", g).solution.vertices)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_two_core_matches_networkx(seed):
+    rng = random.Random(5_300 + seed)
+    g = random_graph(rng, rng.randint(1, 40), rng.choice([0.03, 0.06, 0.1, 0.2]))
+    G = nx.Graph(list(g.edges()))
+    G.add_nodes_from(range(g.n))
+    core = nx.k_core(G, 2)
+    assert {v: d for v, d in enumerate(core_degrees(g)) if d} == dict(core.degree)
+    assert cycle_rank(g) == (core.number_of_edges() - core.number_of_nodes()
+                             + nx.number_connected_components(core))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_deleting_a_vertex_lowers_mu_by_at_most_its_degree_minus_one(seed):
+    # The step the cyclomatic bound rests on, with 2-core degrees; a
+    # vertex off the 2-core lies on no cycle and lowers mu by nothing.
+    rng = random.Random(seed)
+    g = random_graph(rng, rng.randint(1, 16), rng.uniform(0.05, 0.5))
+    mu, deg = cycle_rank(g), core_degrees(g)
+    for v in range(g.n):
+        assert 0 <= mu - cycle_rank(isolate(g, v)) <= max(deg[v] - 1, 0)
