@@ -259,22 +259,27 @@ def is_chordal(g: Graph) -> tuple[bool, list[int]]:
 
 
 def _closed_walk(
-    s: int, succ: Callable[[int], Sequence[int]], n: int, odd: bool, limit: int
+    s: int, succ: Callable[[int], Sequence[int]], odd: bool, limit: int,
+    prev: list[int], seen: list[int],
 ) -> list[int] | None:
     """A shortest closed walk through s of at most limit edges, of odd
     length when odd is set, with walk[0] == walk[-1] == s; None if there
-    is none.  n is the vertex count of the graph succ walks.
+    is none.
 
     BFS over states 2v + parity, level by level, where a step u -> w
     (w in succ(u)) flips the parity only when odd is set: the walk runs
     from state 2s to state 2s + odd.  The goal is tested first, as without
     parity it is the start.  The walk returned is the one an unlimited
     BFS returns whenever that one has at most limit edges.
+
+    prev and seen are the caller's lists over the 2n states, shared by
+    the roots of one search, each searched once: state y is reached from
+    s when seen[y] == s, and prev[y] is then the state before it.  So a
+    root pays for the states it reaches, not for n.
     """
     flip = int(odd)
     goal = 2 * s + flip
-    prev = [-2] * (2 * n)  # -2: not reached
-    prev[2 * s] = -1
+    seen[2 * s], prev[2 * s] = s, -1
     level = [2 * s]
     for _ in range(limit):
         following = []
@@ -289,8 +294,8 @@ def _closed_walk(
                         x = prev[x]
                     walk.reverse()
                     return walk
-                if prev[y] == -2:
-                    prev[y] = x
+                if seen[y] != s:
+                    seen[y], prev[y] = s, x
                     following.append(y)
         if not following:
             break
@@ -307,29 +312,28 @@ def is_odd_dicycle_free(d: Digraph) -> tuple[bool, list[int] | None]:
 def shortest_cycle(g: Graph, floor: int = 0) -> list[int] | None:
     """A shortest cycle (vertex list), or None if the graph is a forest.
 
-    A BFS per root; each non-tree edge (u, w) closes a cycle through the
-    tree paths up to their meeting vertex, of length depth[u] + depth[w]
-    + 1 - 2 depth[meet].  The list is built only for a cycle shorter than
+    A BFS per root over lists of n; each non-tree edge (u, w) closes a
+    cycle through the tree paths up to their meeting vertex, of length
+    depth[u] + depth[w] + 1 - 2 depth[meet].  The list is built only for a cycle shorter than
     the incumbent, in the order u .. meet .. w."""
     adj = g.adjacency
     best: list[int] | None = None
+    # Shared by the roots: w is in root's tree when seen[w] == root.
+    parent, depth, seen = [-1] * g.n, [0] * g.n, [-1] * g.n
     for root in range(g.n):
         if best is not None and len(best) <= floor:
             break
         if not adj[root]:
             continue
-        parent = [-2] * g.n  # -2: not reached
-        depth = [0] * g.n
-        parent[root] = -1
+        seen[root], parent[root], depth[root] = root, -1, 0
         queue = [root]
         for u in queue:  # queue grows while it is read: a BFS
             du, up = depth[u], parent[u]
             if best is not None and 2 * du + 1 > len(best):
                 break
             for w in adj[u]:
-                if parent[w] == -2:
-                    parent[w] = u
-                    depth[w] = du + 1
+                if seen[w] != root:
+                    seen[w], parent[w], depth[w] = root, u, du + 1
                     queue.append(w)
                 elif w != up:
                     pu, pw = u, w  # climb to the meeting vertex
@@ -352,13 +356,14 @@ def shortest_cycle(g: Graph, floor: int = 0) -> list[int] | None:
 def shortest_odd_cycle(g: Graph, floor: int = 0) -> list[int] | None:
     """A shortest odd cycle, or None if the graph is bipartite."""
     best: list[int] | None = None
+    prev, seen = [0] * (2 * g.n), [-1] * (2 * g.n)
     for s in range(g.n):
         if best is not None and len(best) <= floor:
             break
         # A walk is kept only if its edge count is at most len(best); a
         # shortest odd closed walk has at most 2n edges.
         limit = 2 * g.n if best is None else len(best)
-        walk = _closed_walk(s, g.neighbors, g.n, True, limit)
+        walk = _closed_walk(s, g.neighbors, True, limit, prev, seen)
         if walk is not None:
             cand = _cycle_from_walk(walk)
             if best is None or len(cand) < len(best):
@@ -370,6 +375,7 @@ def _shortest_dicycle(d: Digraph, odd: bool, floor: int) -> list[int] | None:
     """A simple cycle from the shortest closed walk over all roots (the
     first root wins ties); None if there is none."""
     walk: list[int] | None = None
+    prev, seen = [0] * (2 * d.n), [-1] * (2 * d.n)
     for s in range(d.n):
         if walk is not None and len(walk) - 1 <= floor:
             break
@@ -377,7 +383,7 @@ def _shortest_dicycle(d: Digraph, odd: bool, floor: int) -> list[int] | None:
             continue
         # Only a walk with fewer edges than the incumbent's replaces it.
         limit = 2 * d.n if walk is None else len(walk) - 2
-        cand = _closed_walk(s, d.successors, d.n, odd, limit)
+        cand = _closed_walk(s, d.successors, odd, limit, prev, seen)
         if cand is not None:
             walk = cand
     if walk is None:
