@@ -312,9 +312,9 @@ def is_odd_dicycle_free(d: Digraph) -> tuple[bool, list[int] | None]:
 def shortest_cycle(g: Graph, floor: int = 0) -> list[int] | None:
     """A shortest cycle (vertex list), or None if the graph is a forest.
 
-    A BFS per root over lists of n; each non-tree edge (u, w) closes a
-    cycle through the tree paths up to their meeting vertex, of length
-    depth[u] + depth[w] + 1 - 2 depth[meet].  The list is built only for a cycle shorter than
+    A BFS per root; each non-tree edge (u, w) closes a cycle through the
+    tree paths up to their meeting vertex, of length depth[u] + depth[w]
+    + 1 - 2 depth[meet].  The list is built only for a cycle shorter than
     the incumbent, in the order u .. meet .. w."""
     adj = g.adjacency
     best: list[int] | None = None

@@ -18,8 +18,8 @@ with the node's own structure, bounds the minimum from below; when the
 packing fits the budget and the problem has a ``lower_bound`` (fvs's
 cyclomatic bound), the bound is the larger of the two.  The node fails
 when the bound exceeds the budget, and returns as soon as a child's set
-meets it.  After each solution the budget drops to
-one below its size, so later children search for smaller sets only.
+meets it.  After each solution the budget drops to one below its
+size, so later children search for smaller sets only.
 
 Floor.  Isolating vertices never shortens a shortest forbidden
 structure, so the structure of a node bounds from below the structure
