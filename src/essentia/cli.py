@@ -29,7 +29,7 @@ from typing import Callable
 
 from . import generate, oracle
 from .detect import DetectionResult, DoctCertificate, FlowerCertificate, detect, detector_factory
-from .graphs import GraphFormatError, parse_graph, serialize_graph
+from .graphs import MAX_VERTICES, GraphFormatError, parse_graph, serialize_graph
 from .lp import LPState, lp_dump_text
 from .problems import PROBLEM_IDS, PROBLEMS
 from .solve import exact_budgeted_solve, meta_solve
@@ -66,6 +66,9 @@ MAX_TIMEOUT_S = 1e8
 
 _non_negative_int = _bounded(int, lambda v: v >= 0, "a non-negative integer")
 _positive_int = _bounded(int, lambda v: v >= 1, "a positive integer")
+# No more vertices than parse_graph reads back.
+_vertex_count = _bounded(int, lambda v: 0 <= v <= MAX_VERTICES,
+                         f"an integer in [0, {MAX_VERTICES}]")
 _positive_seconds = _bounded(float, lambda v: 0.0 < v <= MAX_TIMEOUT_S,
                              f"a positive number of seconds up to {MAX_TIMEOUT_S:g}")
 # c-approximate solutions are defined for c >= 1 only.
@@ -421,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="contract-check a detector vs the oracle")
     p.add_argument("--problem", required=True, choices=PROBLEM_IDS)
     p.add_argument("--c", type=_at_least_one, default=None)
-    p.add_argument("--max-n", type=_non_negative_int, default=8, dest="max_n",
+    p.add_argument("--max-n", type=_vertex_count, default=8, dest="max_n",
                    help="vertex count of every instance (exact, not a maximum)")
     p.add_argument("--trials", type=_non_negative_int, default=25)
     p.add_argument("--seed", type=int, default=0)
@@ -437,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a generated instance")
     p.add_argument("--model", required=True,
                    choices=["gnp", "planted-flower", "planted-ess"])
-    p.add_argument("--n", type=_non_negative_int, default=8)
+    p.add_argument("--n", type=_vertex_count, default=8)
     p.add_argument("--p", type=_probability, default=0.4)
     p.add_argument("--q", type=_non_negative_int, default=3,
                    help="petals for planted-flower")

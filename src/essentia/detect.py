@@ -20,11 +20,16 @@ depends only on k; v is selected when score(v) > bar(k) and k < n:
   CVD                score: cost of the avoiding LP pinning x_v = 0;
                      bar: k.
 
-The flower and separator scores of v depend only on v's weak component,
-so fvs, oct, dfvs and doct score each component's induced subgraph
-(``graphs.induced``, which keeps the vertex order, so every kernel runs
-the same steps as on the whole graph) and map the certificates back; each
-kernel call is then sized by its component, not by n.  vc stays whole:
+Every cycle through v lies in one block (biconnected component of the
+underlying undirected graph, ``graphs.blocks``) that contains v, so the
+flower numbers of fvs, oct and dfvs depend only on v's span: the union
+of the blocks that contain v, or v alone.  doct's score depends on v's
+weak component instead, because an odd closed walk through v can leave
+v's block at a cut vertex and flip its parity on an odd cycle there.
+Each vertex gets one kernel call on the subgraph induced by its span
+(``graphs.induced``, which keeps the vertex order); vertices with equal
+spans, such as the non-cut vertices of one block, share that subgraph,
+and the certificates are mapped back to g's ids.  vc stays whole:
 it is one matching of the double cover ``label_extended(g)``, not one
 kernel per vertex; there, as in the packers' auxiliary graphs, v's
 copies are 2v and 2v + 1.  cvd stays whole too: its avoiding-LP cost is
@@ -37,13 +42,13 @@ detector for each k is a binary search plus sorting what it returns.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .flows import min_vertex_separator
-from .graphs import Digraph, Graph, components, induced, isolate
+from .graphs import Digraph, Graph, blocks, components, induced, isolate, spans
 from .lp import LPState, PooledLP, solve_v_avoiding_lp
 from .matching import min_vertex_cover_bipartite
 from .problems import PROBLEMS
@@ -164,13 +169,13 @@ def label_extended(g: Graph | Digraph) -> Graph | Digraph:
     return type(g)(2 * g.n, pairs)
 
 
-def _doct_scores(d: Digraph) -> list[tuple[int, DoctCertificate]]:
-    """Minimum separator between the copies of each v in the
+def _doct_scores(d: Digraph, vs: Iterable[int]) -> list[tuple[int, DoctCertificate]]:
+    """Minimum separator between the copies of each v of vs in the
     label-extended digraph; its size bounds packings of odd closed walks
     through v."""
     ext = label_extended(d)
     out = []
-    for v in range(d.n):
+    for v in vs:
         res = min_vertex_separator(ext, 2 * v, 2 * v + 1)
         # divmod(x, 2) maps a copy back to its (vertex, parity) label.
         cert = DoctCertificate(
@@ -192,29 +197,37 @@ def _cvd_scores(g: Graph) -> list[tuple[Fraction, LPState]]:
     return [(state.cost, state) for state in states]
 
 
-def _per_component(score_fn: Callable) -> Callable:
-    """score_fn run on each weak component's induced subgraph, with the
-    scores and certificates mapped back to the ids of the whole graph."""
+def _per_span(parts: Callable, score_fn: Callable) -> Callable:
+    """score_fn(h, vs) run once per distinct span (``graphs.spans`` of
+    parts(g)), on its induced subgraph h for the vertices vs (h's ids)
+    that have that span, with the scores and certificates mapped back to
+    the ids of the whole graph."""
     def scores(g: Graph | Digraph) -> list:
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for v, span in enumerate(spans(parts(g), g.n)):
+            groups.setdefault(span, []).append(v)
         out: list = [None] * g.n
-        for vs in components(g):
-            for v, (score, cert) in zip(vs, score_fn(induced(g, vs))):
-                out[v] = (score, cert.relabel(vs))
+        for span, vs in groups.items():
+            whole = len(span) == g.n  # then g itself, with nothing to relabel
+            h = g if whole else induced(g, span)
+            local = vs if whole else [bisect_left(span, v) for v in vs]
+            for v, (score, cert) in zip(vs, score_fn(h, local)):
+                out[v] = (score, cert if whole else cert.relabel(span))
         return out
 
     return scores
 
 
 def _each_vertex(flower_number: Callable) -> Callable:
-    return lambda g: [flower_number(g, v) for v in range(g.n)]
+    return lambda h, vs: [flower_number(h, v) for v in vs]
 
 
 # problem -> (per-vertex (score, certificate) list, bar(k)).
 _SCORES: dict[str, tuple[Callable, Callable[[int], int]]] = {
-    "fvs": (_per_component(_each_vertex(flower_number_fvs)), lambda k: k),
-    "oct": (_per_component(_each_vertex(flower_number_oct)), lambda k: k),
-    "dfvs": (_per_component(_each_vertex(flower_number_dfvs)), lambda k: k),
-    "doct": (_per_component(_doct_scores), lambda k: 2 * k),
+    "fvs": (_per_span(blocks, _each_vertex(flower_number_fvs)), lambda k: k),
+    "oct": (_per_span(blocks, _each_vertex(flower_number_oct)), lambda k: k),
+    "dfvs": (_per_span(blocks, _each_vertex(flower_number_dfvs)), lambda k: k),
+    "doct": (_per_span(components, _doct_scores), lambda k: 2 * k),
     "vc": (_vc_scores, lambda k: 1),
     "cvd": (_cvd_scores, lambda k: k),
 }

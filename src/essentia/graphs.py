@@ -9,10 +9,12 @@ isolated, so a set found on the residual graph needs no translation
 back, and every untouched row is shared with the input.
 
 ``components`` splits a graph into weak components (an arc joins its two
-ends either way), and ``induced`` relabels a vertex subset to 0, 1, ...
-in increasing order, so every row stays sorted and each vertex keeps its
-place relative to the others; the per-vertex detection kernels run on
-one component at a time this way.
+ends either way) and ``blocks`` into biconnected components of the same
+underlying undirected graph; ``spans`` maps each vertex to the union of
+the parts that contain it.  ``induced`` relabels a vertex subset to 0,
+1, ... in increasing order, so every row stays sorted and each vertex
+keeps its place relative to the others; the per-vertex detection kernels
+run on one span at a time this way.
 
 The on-disk format is line based:
 
@@ -192,6 +194,61 @@ def components(g: Graph | Digraph) -> list[tuple[int, ...]]:
                         comp.append(w)
         out.append(tuple(sorted(comp)))
     return out
+
+
+def blocks(g: Graph | Digraph) -> list[tuple[int, ...]]:
+    """Blocks (biconnected components) of g's underlying undirected graph,
+    each sorted: the depth-first search of Hopcroft and Tarjan with an
+    explicit stack, in O(n + m).  A bridge, and so an antiparallel pair,
+    is a block of its two ends; an isolated vertex lies in no block."""
+    rows = [a + b for a, b in zip(g._out, g._in)] if g.directed else g._out
+    disc = [-1] * g.n
+    low = [0] * g.n
+    out = []
+    opened: list[int] = []  # visited vertices whose block is still open
+    clock = 0
+    for root in range(g.n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        work = [(root, iter(rows[root]))]
+        while work:
+            u, rest = work[-1]
+            for w in rest:
+                seen = disc[w]
+                if seen < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    opened.append(w)
+                    work.append((w, iter(rows[w])))
+                    break
+                if seen < low[u]:
+                    low[u] = seen
+            else:
+                work.pop()
+                if work:
+                    p = work[-1][0]
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                    if low[u] >= disc[p]:  # p cuts u's subtree off: a block
+                        block = [p]
+                        while block[-1] != u:
+                            block.append(opened.pop())
+                        out.append(tuple(sorted(block)))
+    return out
+
+
+def spans(parts: Iterable[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """For each vertex v < n, the sorted union of the parts that contain
+    it, or (v,) if none does; a vertex in one part gets that part itself,
+    so equal spans are often one object."""
+    mine: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for part in parts:
+        for v in part:
+            mine[v].append(part)
+    return [own[0] if len(own) == 1 else tuple(sorted(set().union(*own))) if own else (v,)
+            for v, own in enumerate(mine)]
 
 
 def induced(g: Graph | Digraph, vs: Sequence[int]) -> Graph | Digraph:

@@ -14,7 +14,7 @@ import pytest
 import essentia.cli as cli_mod
 from essentia.cli import EXIT_USAGE, _certificate_payload, main
 from essentia.generate import gnp, planted_flower
-from essentia.graphs import serialize_graph
+from essentia.graphs import MAX_VERTICES, serialize_graph
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -460,6 +460,22 @@ def test_bench_checks_every_entry_before_timing(capsys, tmp_path, monkeypatch,
     code, out, err = run(capsys, ["bench", "--problem", "dfvs", "--suite", str(suite)])
     assert code == 3 and message in err
     assert calls == [] and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--model", "gnp", "--p", "0", "--n"],
+    ["verify", "--problem", "vc", "--trials", "1", "--max-n"],
+])
+def test_vertex_count_above_the_parse_limit_is_usage_error(argv):
+    # In a child process with a timeout: without the cap, gen draws
+    # n(n - 1)/2 random numbers and would not return.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": "src"}
+    proc = subprocess.run([sys.executable, "-m", "essentia", *argv, str(MAX_VERTICES + 1)],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert f"must be an integer in [0, {MAX_VERTICES}]" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_python_dash_m_runs_the_cli():

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import complete_graph, cycle_graph, disjoint_union, random_digraph, random_graph
 from essentia.detect import (
+    _SCORES,
     _doct_scores,
     _shorten,
     detect,
@@ -23,6 +24,7 @@ from essentia.matching import min_vertex_cover_bipartite
 from essentia.oracle import brute_flower, verify_detection
 from essentia.tpaths import max_odd_T_path_packing, max_T_path_packing
 from helpers import verify_flower_certificate
+from reference_detect import component_scores
 from reference_solve import delete_renumbered
 
 
@@ -109,7 +111,7 @@ def test_planted_flowers_beyond_brute_scale(q):
         count, cert = flower(g, 0)
         assert count == q and len(cert.petals) == q, problem
         verify_flower_certificate(problem, g, cert)
-    assert _doct_scores(planted_flower("doct", q))[0][0] == q
+    assert _doct_scores(planted_flower("doct", q), [0])[0][0] == q
     assert vc_lp_halfintegral(planted_flower("vc", q))[0] == 1
 
 
@@ -343,7 +345,7 @@ def _whole_graph_scores(problem, g):
     """The per-vertex kernels run on the whole graph, without the split
     into components."""
     if problem == "doct":
-        return _doct_scores(g)
+        return _doct_scores(g, range(g.n))
     flower_number = {"fvs": flower_number_fvs, "oct": flower_number_oct,
                      "dfvs": flower_number_dfvs}[problem]
     return [flower_number(g, v) for v in range(g.n)]
@@ -377,4 +379,33 @@ def test_component_scores_match_the_whole_graph(problem, g):
         assert res.certificates == {v: scored[v][1] for v in expected}, k
         if problem != "doct":
             for cert in res.certificates.values():
+                verify_flower_certificate(problem, g, cert)
+
+
+@pytest.mark.parametrize("problem", ["fvs", "oct", "dfvs"])
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.35])
+def test_block_scores_match_the_component_reference(problem, p):
+    # Each vertex is scored on the blocks that contain it; the reference
+    # scores it on its whole component.  The scores must agree; the
+    # petals may differ, and from n = 24 on each must verify.
+    directed = problem == "dfvs"
+    for n in range(1, 61):
+        g = gnp(n, p, n, directed=directed)
+        scored = _SCORES[problem][0](g)
+        reference = component_scores(problem, g)
+        assert [s for s, _ in scored] == [s for s, _ in reference], n
+        for v, (score, cert) in enumerate(scored):
+            assert cert.center == v and len(cert.petals) == score
+            if n >= 24:
+                verify_flower_certificate(problem, g, cert)
+
+
+@pytest.mark.parametrize("problem", ["fvs", "oct", "dfvs"])
+def test_block_scores_match_the_component_reference_on_planted_flowers(problem):
+    for centers in (2, 4, 6, 12):
+        for seed in range(3):
+            g = planted_ess(problem, centers=centers, background=3, seed=seed)
+            scored = _SCORES[problem][0](g)
+            assert [s for s, _ in scored] == [s for s, _ in component_scores(problem, g)]
+            for _, cert in scored:
                 verify_flower_certificate(problem, g, cert)

@@ -202,7 +202,7 @@ def test_doct_separators_vs_networkx(n, seed):
     cover.add_nodes_from((v, parity) for v in range(n) for parity in (0, 1))
     for u, w in d.arcs():
         cover.add_edges_from([((u, 0), (w, 1)), ((u, 1), (w, 0))])
-    scores = _doct_scores(d)
+    scores = _doct_scores(d, range(d.n))
     for v in random.Random(seed).sample(range(n), 5):
         size, cert = scores[v]
         assert size == len(nx.minimum_node_cut(cover, (v, 0), (v, 1)))

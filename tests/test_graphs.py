@@ -8,20 +8,22 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, random_digraph, random_graph
-from essentia.generate import planted_ess, planted_flower
+from conftest import cycle_graph, path_graph, random_digraph, random_graph
+from essentia.generate import gnp, planted_ess, planted_flower
 from essentia.graphs import (
     Digraph,
     Graph,
     GraphError,
     GraphFormatError,
     MAX_VERTICES,
+    blocks,
     components,
     delete_vertices,
     induced,
     isolate,
     parse_graph,
     serialize_graph,
+    spans,
 )
 from essentia.problems import PROBLEMS
 
@@ -222,6 +224,61 @@ def test_components_vs_networkx(seed, directed):
     h.add_edges_from(g.arcs() if directed else g.edges())
     expected = sorted(tuple(sorted(c)) for c in nx.connected_components(h))
     assert components(g) == expected
+
+
+def test_blocks_named():
+    # Two triangles sharing the cut vertex 2, a bridge 4-5 to a pendant
+    # path 5-6, and the isolated vertex 7, which lies in no block.
+    g = Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5), (5, 6)])
+    assert sorted(blocks(g)) == [(0, 1, 2), (2, 3, 4), (4, 5), (5, 6)]
+    assert spans(blocks(g), g.n) == [
+        (0, 1, 2), (0, 1, 2), (0, 1, 2, 3, 4), (2, 3, 4), (2, 3, 4, 5), (4, 5, 6), (5, 6), (7,)]
+    assert blocks(Graph(0)) == [] and spans([], 0) == []
+    assert spans(blocks(Graph(2)), 2) == [(0,), (1,)]
+    # A vertex in one block gets that block itself.
+    s = spans(blocks(g), g.n)
+    assert s[0] is s[1]
+
+
+def test_blocks_of_a_digraph_are_those_of_its_underlying_graph():
+    # An antiparallel pair is one bridge block; a directed triangle and
+    # its reverse orientation have the same block.
+    d = Digraph(6, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (4, 5)])
+    assert sorted(blocks(d)) == [(0, 1), (1, 2, 3), (4, 5)]
+    assert spans(blocks(d), d.n)[1] == (0, 1, 2, 3)
+    assert blocks(Digraph(3, [(0, 1), (1, 2), (0, 2)])) == [(0, 1, 2)]
+
+
+def test_blocks_of_long_paths_and_cycles_need_no_recursion():
+    n = 20_000
+    assert sorted(blocks(path_graph(n))) == [(v, v + 1) for v in range(n - 1)]
+    assert blocks(cycle_graph(n)) == [tuple(range(n))]
+    cycle = Digraph(n, [(v, (v + 1) % n) for v in range(n)])
+    assert blocks(cycle) == [tuple(range(n))]
+    s = spans(blocks(path_graph(n)), n)
+    assert s[0] == (0, 1) and s[n // 2] == (n // 2 - 1, n // 2, n // 2 + 1)
+
+
+def _nx_spans(g) -> list[tuple[int, ...]]:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.arcs() if g.directed else g.edges())
+    out = [{v} for v in range(g.n)]
+    for block in nx.biconnected_components(h):
+        for v in block:
+            out[v] |= block
+    return [tuple(sorted(s)) for s in out]
+
+
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.35])
+@pytest.mark.parametrize("directed", [False, True])
+def test_block_spans_vs_networkx(p, directed):
+    for n in range(1, 61):
+        g = gnp(n, p, n, directed=directed)
+        assert spans(blocks(g), n) == _nx_spans(g), n
+    # Isolating vertices leaves them in no block, between the others.
+    g = isolate(isolate(gnp(40, p, 7, directed=directed), 3), 20)
+    assert spans(blocks(g), g.n) == _nx_spans(g)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -172,9 +172,10 @@ def _largest_component(g) -> int:
 
 
 def test_detection_kernels_are_sized_by_component(monkeypatch):
-    # Splitting detection into components changes no output, so only the
-    # sizes of the kernels' graphs show that the split still happens.
-    # The package exports a function named detect, so fetch the module.
+    # Splitting detection into blocks and components changes no score, so
+    # only the sizes of the kernels' graphs show that the split still
+    # happens.  The package exports a function named detect, so fetch the
+    # module.
     detect = importlib.import_module("essentia.detect")
     sizes = []
 
@@ -186,16 +187,22 @@ def test_detection_kernels_are_sized_by_component(monkeypatch):
 
     for name in ("max_T_path_packing", "max_odd_T_path_packing", "min_vertex_separator"):
         monkeypatch.setattr(detect, name, recording(getattr(detect, name)))
-    instances = [(p, planted_ess(p, centers=4, background=3, seed=1))
-                 for p in ("fvs", "oct", "dfvs")]
-    instances.append(("doct", disjoint_union(
-        *(gnp(7, 0.3, seed, directed=True) for seed in range(3)))))
-    for problem, g in instances:
+    for problem in ("fvs", "oct", "dfvs"):
+        # A center's flower is its component; every other vertex lies on
+        # one triangle, a block of three, whether petal or background.
+        centers = 4
+        g = planted_ess(problem, centers=centers, background=3, seed=1)
         largest = _largest_component(g)
-        assert 2 * largest < g.n, problem
-        # The doct kernel runs on the label-extended digraph, two copies
-        # per vertex; every other kernel runs on the component itself.
-        bound = {"doct": 2 * largest}.get(problem, largest)
         sizes.clear()
         detect.detector_factory(problem, g)
-        assert sizes and max(sizes) <= bound, (problem, max(sizes, default=None), bound)
+        assert len(sizes) == g.n, problem  # one kernel call per vertex
+        big = sorted(size for size in sizes if size > 3)
+        assert len(big) <= centers and max(big) <= largest < g.n, (problem, big)
+    # doct scores on components: its kernel runs on the label-extended
+    # digraph of the component, two copies per vertex.
+    g = disjoint_union(*(gnp(7, 0.3, seed, directed=True) for seed in range(3)))
+    largest = _largest_component(g)
+    assert 2 * largest < g.n
+    sizes.clear()
+    detect.detector_factory("doct", g)
+    assert len(sizes) == g.n and max(sizes) <= 2 * largest, (sizes, largest)
