@@ -343,7 +343,7 @@ def test_flower_minmax_when_rest_in_class(seed):
 
 def _whole_graph_scores(problem, g):
     """The per-vertex kernels run on the whole graph, without the split
-    into components."""
+    into blocks or components."""
     if problem == "doct":
         return _doct_scores(g, range(g.n))
     flower_number = {"fvs": flower_number_fvs, "oct": flower_number_oct,
