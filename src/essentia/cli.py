@@ -286,6 +286,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    # The vertices a planted model implies (--n is capped by its type):
+    # 1, 2 or 3 per petal, one per center, 2 or 3 per background piece.
+    petal = {"vc": 1, "cvd": 3}.get(args.problem, 2)
+    petals = args.centers + args.background + 2 if args.petals is None else args.petals
+    n = {"planted-flower": 1 + petal * args.q,
+         "planted-ess": args.centers * (1 + petal * petals)
+         + (2 if args.problem == "vc" else 3) * args.background}.get(args.model, 0)
+    if n > MAX_VERTICES:
+        print(f"error: gen would build {n} vertices, more than {MAX_VERTICES}",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.model == "gnp":
         g = generate.gnp(args.n, args.p, args.seed, args.directed)
     elif args.model == "planted-flower":

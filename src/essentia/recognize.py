@@ -10,18 +10,19 @@ there is one (BFS 2-coloring, Kahn's algorithm, the LexBFS order check,
 and for forests the cycle rank m - n + c, which is 0 exactly on
 forests), so the all-roots structure search runs only on the no side.
 
-Two search cores serve several callers.  ``_closed_walk`` is the
-per-root BFS for a shortest (odd) closed walk that shortest_dicycle,
-shortest_odd_dicycle and shortest_odd_cycle extract cycles from; each
-caller caps the walk at the most edges that could still replace its
-incumbent.  ``light_holes`` is the one hole search, a sink Dijkstra per
-(center, neighbour): shortest_hole (and with it is_chordal's witness)
-runs it under unit weights, and the CVD LP's separation oracle under the
-scaled LP assignment.  shortest_cycle keeps its own per-root BFS, cut
-off at the incumbent; it measures each cycle by the BFS depths and
-builds only one shorter than the incumbent.  Roots that lie on no cycle
-because they have no neighbours (no predecessors, for digraphs) are
-skipped.
+Three search cores serve several callers.  shortest_cycle is the one
+undirected cycle search, a BFS per root cut off at the incumbent: it
+measures each cycle by the BFS depths and builds only one shorter than
+the incumbent, and with odd set (shortest_odd_cycle) it counts only
+non-tree edges between vertices of equal depth.  ``_closed_walk`` is
+the digraphs' per-root BFS over (vertex, parity) states for a shortest
+(odd) closed walk, which shortest_dicycle and shortest_odd_dicycle cap
+at the most arcs that could still replace their incumbent.
+``light_holes`` is the one hole search, a sink Dijkstra per (center,
+neighbour): shortest_hole (and with it is_chordal's witness) runs it
+under unit weights, and the CVD LP's separation oracle under the scaled
+LP assignment.  Roots that lie on no cycle because they have no
+neighbours (no predecessors, for digraphs) are skipped.
 
 The five shortest-structure searches take a floor (default 0), a length
 the caller knows the answer cannot go below, and stop once the incumbent
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .graphs import Digraph, Graph, components
 
@@ -259,18 +260,17 @@ def is_chordal(g: Graph) -> tuple[bool, list[int]]:
 
 
 def _closed_walk(
-    s: int, succ: Callable[[int], Sequence[int]], odd: bool, limit: int,
-    prev: list[int], seen: list[int],
+    s: int, d: Digraph, odd: bool, limit: int, prev: list[int], seen: list[int],
 ) -> list[int] | None:
-    """A shortest closed walk through s of at most limit edges, of odd
-    length when odd is set, with walk[0] == walk[-1] == s; None if there
-    is none.
+    """A shortest closed walk of d through s of at most limit arcs, of
+    odd length when odd is set, with walk[0] == walk[-1] == s; None if
+    there is none.
 
-    BFS over states 2v + parity, level by level, where a step u -> w
-    (w in succ(u)) flips the parity only when odd is set: the walk runs
-    from state 2s to state 2s + odd.  The goal is tested first, as without
-    parity it is the start.  The walk returned is the one an unlimited
-    BFS returns whenever that one has at most limit edges.
+    BFS over states 2v + parity, level by level, where an arc u -> w
+    flips the parity only when odd is set: the walk runs from state 2s to
+    state 2s + odd.  The goal is tested first, as without parity it is
+    the start.  The walk returned is the one an unlimited BFS returns
+    whenever that one has at most limit arcs.
 
     prev and seen are the caller's lists over the 2n states, shared by
     the roots of one search, each searched once: state y is reached from
@@ -285,7 +285,7 @@ def _closed_walk(
         following = []
         for x in level:
             bit = (x & 1) ^ flip
-            for w in succ(x >> 1):
+            for w in d.successors(x >> 1):
                 y = 2 * w + bit
                 if y == goal:
                     walk = [s]
@@ -309,13 +309,14 @@ def is_odd_dicycle_free(d: Digraph) -> tuple[bool, list[int] | None]:
     return cycle is None, cycle
 
 
-def shortest_cycle(g: Graph, floor: int = 0) -> list[int] | None:
-    """A shortest cycle (vertex list), or None if the graph is a forest.
+def shortest_cycle(g: Graph, floor: int = 0, odd: bool = False) -> list[int] | None:
+    """A shortest cycle (an odd one if odd is set), or None if there is none.
 
     A BFS per root; each non-tree edge (u, w) closes a cycle through the
     tree paths up to their meeting vertex, of length depth[u] + depth[w]
-    + 1 - 2 depth[meet].  The list is built only for a cycle shorter than
-    the incumbent, in the order u .. meet .. w."""
+    + 1 - 2 depth[meet], which is odd exactly when depth[u] == depth[w]
+    (Itai and Rodeh): with odd set only such edges count.  The list is
+    built only for a cycle shorter than the incumbent, u .. meet .. w."""
     adj = g.adjacency
     best: list[int] | None = None
     # Shared by the roots: w is in root's tree when seen[w] == root.
@@ -335,7 +336,7 @@ def shortest_cycle(g: Graph, floor: int = 0) -> list[int] | None:
                 if seen[w] != root:
                     seen[w], parent[w], depth[w] = root, u, du + 1
                     queue.append(w)
-                elif w != up:
+                elif (depth[w] == du) if odd else w != up:
                     pu, pw = u, w  # climb to the meeting vertex
                     while pu != pw:
                         if depth[pu] >= depth[pw]:
@@ -355,20 +356,7 @@ def shortest_cycle(g: Graph, floor: int = 0) -> list[int] | None:
 
 def shortest_odd_cycle(g: Graph, floor: int = 0) -> list[int] | None:
     """A shortest odd cycle, or None if the graph is bipartite."""
-    best: list[int] | None = None
-    prev, seen = [0] * (2 * g.n), [-1] * (2 * g.n)
-    for s in range(g.n):
-        if best is not None and len(best) <= floor:
-            break
-        # A walk is kept only if its edge count is at most len(best); a
-        # shortest odd closed walk has at most 2n edges.
-        limit = 2 * g.n if best is None else len(best)
-        walk = _closed_walk(s, g.neighbors, True, limit, prev, seen)
-        if walk is not None:
-            cand = _cycle_from_walk(walk)
-            if best is None or len(cand) < len(best):
-                best = cand
-    return best
+    return shortest_cycle(g, floor, odd=True)
 
 
 def _shortest_dicycle(d: Digraph, odd: bool, floor: int) -> list[int] | None:
@@ -383,7 +371,7 @@ def _shortest_dicycle(d: Digraph, odd: bool, floor: int) -> list[int] | None:
             continue
         # Only a walk with fewer edges than the incumbent's replaces it.
         limit = 2 * d.n if walk is None else len(walk) - 2
-        cand = _closed_walk(s, d.successors, odd, limit, prev, seen)
+        cand = _closed_walk(s, d, odd, limit, prev, seen)
         if cand is not None:
             walk = cand
     if walk is None:

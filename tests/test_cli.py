@@ -478,6 +478,37 @@ def test_vertex_count_above_the_parse_limit_is_usage_error(argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["planted-flower", "--problem", "fvs", "--q", "100000000"],
+    ["planted-flower", "--problem", "vc", "--q", str(MAX_VERTICES)],
+    # Each option below is small alone; the vertices they imply are not.
+    ["planted-ess", "--problem", "fvs", "--centers", "1000", "--background", "0"],
+    ["planted-ess", "--problem", "vc", "--centers", "1", "--petals", "0",
+     "--background", str(MAX_VERTICES // 2)],
+    ["planted-ess", "--problem", "oct", "--centers", "1", "--petals", str(MAX_VERTICES // 2)],
+])
+def test_planted_models_above_the_parse_limit_are_usage_errors(argv):
+    # In a child process with a timeout: without the cap, gen builds the
+    # graph and can end in a MemoryError.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": "src"}
+    proc = subprocess.run([sys.executable, "-m", "essentia", "gen", "--model", *argv],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert f"vertices, more than {MAX_VERTICES}" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_planted_flower_at_the_parse_limit_is_built(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli_mod.generate, "planted_flower",
+                        lambda problem, q: built.append(q) or planted_flower(problem, 1))
+    code, out, _ = run(capsys, ["gen", "--model", "planted-flower", "--problem", "vc",
+                                "--q", str(MAX_VERTICES - 1)])
+    assert code == 0 and out.startswith("p ud 2 1")
+    assert built == [MAX_VERTICES - 1]
+
+
 def test_python_dash_m_runs_the_cli():
     # From a checkout, as the tests import it: PYTHONPATH=src.
     root = Path(__file__).resolve().parent.parent

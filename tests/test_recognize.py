@@ -30,7 +30,7 @@ from essentia.recognize import (
     shortest_odd_cycle,
     shortest_odd_dicycle,
 )
-from reference_cycle import reference_shortest_cycle
+from reference_cycle import reference_shortest_cycle, reference_shortest_odd_cycle
 
 
 def assert_cycle(g: Graph, cycle, odd=False, min_len=3):
@@ -326,9 +326,10 @@ def _shortest_length(cycles, odd: bool) -> float:
 
 @pytest.mark.parametrize("seed", range(40))
 def test_cycle_searches_vs_networkx(seed):
-    # Beyond brute-force reach: the closed-walk searches against cycle
-    # enumeration by networkx at n = 20-40.  Only cycles shorter than the
-    # one returned are enumerated, plus its own length.
+    # Beyond brute-force reach: the odd-cycle BFS and the digraphs'
+    # closed-walk searches against cycle enumeration by networkx at
+    # n = 20-40.  Only cycles shorter than the one returned are
+    # enumerated, plus its own length.
     rng = random.Random(32_000 + seed)
     n = rng.randint(20, 40)
     g = random_graph(rng, n, rng.choice([0.04, 0.06, 0.08, 0.12]))
@@ -375,6 +376,39 @@ def test_shortest_cycle_matches_reference(p):
         for h in (g, cut):
             for floor in (0, 3, 4):
                 assert shortest_cycle(h, floor) == reference_shortest_cycle(h, floor)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.35])
+def test_shortest_odd_cycle_matches_reference(p):
+    # Against the parity-state walk search, at floors 0, 3 and 5, on gnp
+    # and on gnp with a quarter of it isolated.  The cycles may differ,
+    # but not their lengths up to the floor: each search stops once its
+    # incumbent is no longer than the floor, so below it any length will do.
+    for n in range(1, 61):
+        g = gnp(n, p, n)
+        cut = delete_vertices(g, random.Random(n).sample(range(n), n // 4))
+        for h in (g, cut):
+            for floor in (0, 3, 5):
+                oc = shortest_odd_cycle(h, floor)
+                ref = reference_shortest_odd_cycle(h, floor)
+                assert (oc is None) == (ref is None)
+                if oc is not None:
+                    assert_cycle(h, oc, odd=True)
+                    assert max(len(oc), floor) == max(len(ref), floor)
+
+
+def test_shortest_odd_cycle_away_from_its_root():
+    # A path 0 .. 9 hangs off a triangle {10, 11, 12}; root 0 finds the
+    # triangle through the same-depth edge (11, 12), meeting at 10.  With
+    # a 5-cycle 13 .. 17 hung off 0 too, root 0 meets that first and stops
+    # at depth 3, before the triangle; the triangle's own roots find it.
+    path = [(i, i + 1) for i in range(10)]
+    triangle = [(10, 11), (11, 12), (10, 12)]
+    assert shortest_odd_cycle(Graph(13, path + triangle)) == [11, 10, 12]
+    pentagon = [(13 + i, 13 + (i + 1) % 5) for i in range(5)]
+    g = Graph(18, [(0, 13)] + path + triangle + pentagon)
+    assert sorted(shortest_odd_cycle(g)) == [10, 11, 12]
+    assert len(reference_shortest_odd_cycle(g)) == 3
 
 
 # The five structure searches, and whether each runs on digraphs.

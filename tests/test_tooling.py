@@ -91,6 +91,19 @@ def test_only_cli_and_init_import_the_oracle():
     assert set(found) <= allowed, f"modules importing the oracle: {found}"
 
 
+def test_no_src_module_imports_a_test_reference():
+    # tests/reference_*.py keep replaced kernels as test-only references
+    # for the differential tests; a src module importing one would be
+    # checked against itself.
+    assert any((ROOT / "tests").glob("reference_*.py"))
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}: {name}" for name in sorted(_imported_modules(tree))
+                  if any(part.startswith("reference_") for part in name.split("."))]
+    assert not found, f"src modules importing test references: {found}"
+
+
 def test_oracle_imports_only_graphs_and_problems():
     # The converse: the oracle re-derives every class check itself, so it
     # takes from the package only the graph types and the problem table.
