@@ -150,8 +150,8 @@ def _detection_payload(res: DetectionResult) -> dict:
             for v, cert in sorted(res.certificates.items())
         },
     }
-    if res.extra:
-        payload["assignment"] = [str(x) for x in res.extra["assignment"]]
+    if res.assignment is not None:
+        payload["assignment"] = [str(x) for x in res.assignment]
     return payload
 
 

@@ -92,7 +92,7 @@ class DetectionResult:
     k: int
     vertices: frozenset[int]
     certificates: dict[int, object] = field(default_factory=dict)
-    extra: dict | None = None
+    assignment: tuple[Fraction, ...] | None = None  # vc's LP values
 
 
 def _shorten(cycle: list[int], adjacent: Callable[[int, int], bool], odd: bool = False) -> tuple[int, ...]:
@@ -239,17 +239,17 @@ def detector_factory(problem: str, g: Graph | Digraph) -> Callable[[int], Detect
     PROBLEMS[problem].check_graph(g)
     score_fn, bar = _SCORES[problem]
     scored = score_fn(g)
-    extra = {"assignment": tuple([x for _, x in scored])} if problem == "vc" else None
+    assignment = tuple([x for _, x in scored]) if problem == "vc" else None
     by_score = sorted(range(g.n), key=lambda v: scored[v][0])
     keys = [scored[v][0] for v in by_score]
 
     def detector(k: int) -> DetectionResult:
         if k >= g.n:
             # opt < n <= k on non-empty graphs: G2 asks for nothing, {} meets G1.
-            return DetectionResult(problem, k, frozenset(), {}, extra)
+            return DetectionResult(problem, k, frozenset(), {}, assignment)
         chosen = sorted(by_score[bisect_right(keys, bar(k)):])
         certs = {v: scored[v][1] for v in chosen}
-        return DetectionResult(problem, k, frozenset(chosen), certs, extra)
+        return DetectionResult(problem, k, frozenset(chosen), certs, assignment)
 
     return detector
 

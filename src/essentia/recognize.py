@@ -17,7 +17,8 @@ the incumbent, and with odd set (shortest_odd_cycle) it counts only
 non-tree edges between vertices of equal depth.  ``_closed_walk`` is
 the digraphs' per-root BFS over (vertex, parity) states for a shortest
 (odd) closed walk, which shortest_dicycle and shortest_odd_dicycle cap
-at the most arcs that could still replace their incumbent.
+at the most arcs that could still replace their incumbent; the shortest
+such walk over all roots is already a simple cycle.
 ``light_holes`` is the one hole search, a sink Dijkstra per (center,
 neighbour): shortest_hole (and with it is_chordal's witness) runs it
 under unit weights, and the CVD LP's separation oracle under the scaled
@@ -40,32 +41,6 @@ from collections import deque
 from typing import Iterator, Sequence
 
 from .graphs import Digraph, Graph, components
-
-
-def _cycle_from_walk(walk: Sequence[int]) -> list[int]:
-    """A shortest odd simple cycle of a closed odd walk (walk[0] == walk[-1]).
-
-    Scans with a stack, splitting off a simple cycle whenever a vertex
-    repeats; the walk's edges decompose exactly into the extracted
-    cycles, so an odd walk always yields an odd cycle.
-    """
-    stack: list[int] = []
-    pos: dict[int, int] = {}
-    best: list[int] | None = None
-    for x in walk:
-        if x in pos:
-            cyc = stack[pos[x]:]
-            if len(cyc) % 2 == 1 and (best is None or len(cyc) < len(best)):
-                best = cyc
-            for y in cyc[1:]:
-                del pos[y]
-            del stack[pos[x] + 1:]
-        else:
-            pos[x] = len(stack)
-            stack.append(x)
-    if best is None:
-        raise AssertionError("closed walk contained no odd cycle")
-    return best
 
 
 def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
@@ -376,8 +351,12 @@ def _shortest_dicycle(d: Digraph, odd: bool, floor: int) -> list[int] | None:
             walk = cand
     if walk is None:
         return None
-    # Without parity the walk is a simple cycle with s repeated at its end.
-    return _cycle_from_walk(walk) if odd else walk[:-1]
+    # With floor at most the minimum, walk is a shortest (odd) closed walk
+    # over all roots, so a simple cycle: a repeated vertex would split it
+    # into two shorter closed walks, one of them odd when it is odd.
+    if len(set(walk)) != len(walk) - 1:
+        raise AssertionError("shortest closed walk repeats a vertex")
+    return walk[:-1]
 
 
 def shortest_dicycle(d: Digraph, floor: int = 0) -> list[int] | None:
@@ -386,6 +365,6 @@ def shortest_dicycle(d: Digraph, floor: int = 0) -> list[int] | None:
 
 
 def shortest_odd_dicycle(d: Digraph, floor: int = 0) -> list[int] | None:
-    """A shortest simple odd directed cycle, extracted from the shortest
-    odd closed walk; None if the digraph has no odd directed cycle."""
+    """A shortest simple odd directed cycle, the shortest odd closed walk;
+    None if the digraph has no odd directed cycle."""
     return _shortest_dicycle(d, odd=True, floor=floor)

@@ -2,13 +2,14 @@
 reaches a provably optimal solution while branching only over the
 non-essential part of the budget.
 
-The loop runs the problem's detector for every budget k from 0 to n,
-forms triples (residual graph, selected set S_k, leftover budget
-k - |S_k|), discards negative leftovers, sorts by leftover, and hands
-each residual instance to the branching solver.  The residual G - S_k
-keeps the vertex ids of G (``delete_vertices``), so the first run that
-spends its leftover exactly yields an optimal solution of the original
-graph once S_k is added back, with no translation.
+The loop runs the problem's detector at k = 0, 1, ..., each on reaching
+k, and hands the residual G - S_k with leftover budget k - |S_k| (when
+non-negative) straight to the branching solver.  Every bar is
+non-decreasing in k, so S_k only shrinks and k order is leftover order.
+The first run that spends its leftover exactly is optimal whatever the
+bars do: below opt it would give a deletion set of k < opt vertices, and
+at k = opt G1 puts S_k inside an optimum.  The residual keeps the vertex
+ids of G (``delete_vertices``), so S_k is added back with no translation.
 
 The branching solver is a branch-and-bound that still returns the exact
 minimum within budget.  It isolates the branched vertex (``isolate``,
@@ -32,9 +33,9 @@ Memo.  A node's graph is the solver's input with the vertices of a
 bitmask isolated; isolate commutes, so equal masks mean equal graphs.
 A dict from mask to forbidden structure runs each structure search once
 per distinct graph, and the packing isolates its structures only when a
-lookup misses.  meta_solve keeps one residual and one memo per distinct
-selected set, so its attempts at budgets b, b + 1, ... on one residual
-reuse the searches of the ones before.  The memo lives for one call.
+lookup misses.  meta_solve keeps one residual and its memo live, rebuilt
+only when S_k changes, so its attempts at budgets b, b + 1, ... on one
+residual reuse the searches of the ones before.  The memo lives for one call.
 """
 from __future__ import annotations
 
@@ -68,6 +69,9 @@ class MetaAttempt:
 
 @dataclass(frozen=True)
 class MetaResult:
+    """meta_solve's answer.  schedule holds one triple per attempt, in k
+    order, up to and including the successful one."""
+
     solution: Solution
     schedule: tuple[MetaTriple, ...]
     attempts: tuple[MetaAttempt, ...]
@@ -173,29 +177,24 @@ def meta_solve(problem: str, g: Graph | Digraph) -> MetaResult:
     """Optimal deletion set via detection-then-branching."""
     prob = PROBLEMS[problem]
     detector = detector_factory(problem, g)
-    schedule = []
+    schedule, attempts = [], []
+    selected = None
     for k in range(g.n + 1):
-        selected = detector(k).vertices
-        budget = k - len(selected)
+        chosen = detector(k).vertices
+        budget = k - len(chosen)
         if budget < 0:
             # The detector may select more than k vertices when k is below
             # the optimum; such triples can never spend their budget exactly.
             continue
+        if chosen != selected:
+            selected = chosen
+            residual, memo = delete_vertices(g, selected), {}
         schedule.append(MetaTriple(k, selected, budget))
-    schedule.sort(key=lambda t: (t.budget, t.k))
-
-    attempts = []
-    # One residual and one structure memo per distinct selected set.
-    residuals: dict[frozenset[int], tuple[Graph | Digraph, dict]] = {}
-    for triple in schedule:
-        if triple.selected not in residuals:
-            residuals[triple.selected] = (delete_vertices(g, triple.selected), {})
-        residual, memo = residuals[triple.selected]
-        sol, nodes = exact_budgeted_solve(problem, residual, triple.budget, memo)
-        success = sol is not None and len(sol) == triple.budget
-        attempts.append(MetaAttempt(triple.k, triple.budget, nodes, success))
+        sol, nodes = exact_budgeted_solve(problem, residual, budget, memo)
+        success = sol is not None and len(sol) == budget
+        attempts.append(MetaAttempt(k, budget, nodes, success))
         if success:
-            vertices = triple.selected | frozenset(sol)
+            vertices = selected | frozenset(sol)
             if not prob.in_class(delete_vertices(g, vertices)):
                 raise AssertionError("combined solution fails the recognizer")
             return MetaResult(

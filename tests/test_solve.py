@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import importlib
 import random
 
 import networkx as nx
@@ -186,11 +187,51 @@ def test_nonessentiality_named():
     assert oracle_report("fvs", path_graph(4)).ell == 0
 
 
-def test_schedule_is_sorted_and_nonnegative():
-    res = meta_solve("fvs", complete_graph(5))
+SCHEDULE_CASES = [(p, "gnp") for p in PROBLEM_IDS] + [
+    (p, "planted") for p in ("vc", "fvs", "oct", "dfvs")]
+
+
+@pytest.mark.parametrize("problem,kind", SCHEDULE_CASES)
+def test_schedule_is_sorted_and_nonnegative(problem, kind):
+    # What meta_solve's upward loop relies on: S_k only shrinks as k grows,
+    # so leftovers strictly increase, and the loop attempts each triple it
+    # schedules, stopping at its first success.
+    if kind == "gnp":
+        n = 10 if problem == "cvd" else 16
+        g = gnp(n, 0.3, 3, directed=PROBLEMS[problem].directed)
+    else:
+        g = planted_ess(problem, centers=3, background=2, seed=1)
+    detector = detector_factory(problem, g)
+    chosen = [detector(k).vertices for k in range(g.n + 1)]
+    assert all(later <= earlier for earlier, later in zip(chosen, chosen[1:]))
+    res = meta_solve(problem, g)
     budgets = [t.budget for t in res.schedule]
-    assert budgets == sorted(budgets)
-    assert all(b >= 0 for b in budgets)
+    assert budgets[0] >= 0 and all(a < b for a, b in zip(budgets, budgets[1:]))
+    assert all(t.selected == chosen[t.k] for t in res.schedule)
+    assert [(t.k, t.budget) for t in res.schedule] == [
+        (a.k, a.budget) for a in res.attempts]
+    assert [a.success for a in res.attempts] == [False] * (len(budgets) - 1) + [True]
+
+
+def test_meta_solve_asks_the_detector_only_up_to_the_optimum(monkeypatch):
+    # The loop evaluates detector(k) only on reaching k and stops at
+    # k = opt, so planted flowers cost opt + 1 closure calls, not n + 1.
+    solve = importlib.import_module("essentia.solve")
+    calls = []
+
+    def counting_factory(problem, g):
+        detector = detector_factory(problem, g)
+
+        def counted(k):
+            calls.append(k)
+            return detector(k)
+        return counted
+
+    monkeypatch.setattr(solve, "detector_factory", counting_factory)
+    g = planted_ess("fvs", centers=4, background=3)
+    opt = len(solve.meta_solve("fvs", g).solution.vertices)
+    assert (g.n, opt) == (85, 7)
+    assert len(calls) <= opt + 1
 
 
 def test_meta_solve_leaves_no_cyclic_garbage():

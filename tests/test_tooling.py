@@ -161,12 +161,17 @@ def test_traced_benchmark_names_are_called(monkeypatch):
         with tracing.installed(tracer, E):
             profile.enable()
             try:
-                E.solve.meta_solve(problem, g)
+                result = E.solve.meta_solve(problem, g)
             finally:
                 profile.disable()
         names = [span[0] for span in tracer.spans()]
         wanted = solving | detecting[problem]
         assert wanted <= set(names), (problem, sorted(wanted - set(names)))
+        # One solver call per attempt, and one residual per distinct
+        # selected set plus the final recognizer check.
+        assert names.count("solve.exact_budgeted_solve") == len(result.attempts), problem
+        residuals = len({t.selected for t in result.schedule})
+        assert names.count("graphs.delete_vertices") == residuals + 1, problem
         # Every structure search the solver runs goes through PROBLEMS,
         # one span per call: the tracing wrapper made each call that has
         # a span, and only recognize's own recognizers (inside in_class)
