@@ -1,8 +1,9 @@
 """The six vertex-deletion problems: target classes, recognizers, and
 the shortest forbidden structures the branching solvers pivot on.  A
-recognizer's "no" witness is its problem's ``forbidden_structure(g)``.
-An optional ``lower_bound(g)`` bounds the minimum deletion set from
-below for the branching solver; only fvs has one, the cyclomatic bound."""
+recognizer answers yes or no; ``forbidden_structure(g)`` is the one
+source of a witness.  An optional ``lower_bound(g)`` bounds the minimum
+deletion set from below for the branching solver; only fvs has one, the
+cyclomatic bound."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -34,9 +35,8 @@ class Problem:
 def _first_edge(g: Graph, floor: int = 0) -> list[int] | None:
     """The first edge; every edge is shortest, so floor is unused."""
     for u in range(g.n):
-        nbrs = g.neighbors(u)
-        if nbrs:
-            return [u, nbrs[0]]
+        for w in g.neighbors(u):
+            return [u, w]
     return None
 
 
@@ -78,28 +78,28 @@ PROBLEMS: dict[str, Problem] = {
     ),
     "fvs": Problem(
         "fvs", 2, False,
-        in_class=lambda g: recognize.is_acyclic_undirected(g)[0],
+        in_class=lambda g: recognize.cycle_rank(g) == 0,
         forbidden_structure=recognize.shortest_cycle,
         lower_bound=cyclomatic_bound,
     ),
     "dfvs": Problem(
         "dfvs", 2, True,
-        in_class=lambda d: recognize.is_acyclic_directed(d)[0],
+        in_class=recognize.is_acyclic_directed,
         forbidden_structure=recognize.shortest_dicycle,
     ),
     "oct": Problem(
         "oct", 2, False,
-        in_class=lambda g: recognize.is_bipartite(g)[0],
+        in_class=recognize.is_bipartite,
         forbidden_structure=recognize.shortest_odd_cycle,
     ),
     "doct": Problem(
         "doct", 3, True,
-        in_class=lambda d: recognize.is_odd_dicycle_free(d)[0],
+        in_class=recognize.is_odd_dicycle_free,
         forbidden_structure=recognize.shortest_odd_dicycle,
     ),
     "cvd": Problem(
         "cvd", 13, False,
-        in_class=lambda g: recognize.is_chordal(g)[0],
+        in_class=recognize.is_chordal,
         forbidden_structure=recognize.shortest_hole,
     ),
 }

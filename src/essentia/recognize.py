@@ -1,28 +1,27 @@
-"""Class-membership recognition with witnesses, and shortest forbidden
-structures used by the branching solvers.
+"""Class-membership recognizers, and the shortest forbidden structures
+the branching solvers pivot on.
 
-Every recognizer returns a pair: a boolean verdict plus a certificate.
-On the yes side the certificate is constructive (2-coloring, topological
-order, perfect elimination order); on the no side it is the list
+The recognizers answer yes or no, each from one pass where there is
+one: BFS 2-colouring, Kahn's algorithm and the LexBFS order check.  For
+forests ``problems`` tests the cycle rank m - n + c, which is 0 exactly
+on forests, and is_odd_dicycle_free is the odd search's None test.  No
+recognizer builds a witness: a "no" is witnessed by what
 ``PROBLEMS[p].forbidden_structure`` returns, the problem's shortest
-forbidden structure in cycle order.  Verdicts come from one pass where
-there is one (BFS 2-coloring, Kahn's algorithm, the LexBFS order check,
-and for forests the cycle rank m - n + c, which is 0 exactly on
-forests), so the all-roots structure search runs only on the no side.
+forbidden structure in cycle order.
 
 Three search cores serve several callers.  shortest_cycle is the one
 undirected cycle search, a BFS per root cut off at the incumbent: it
 measures each cycle by the BFS depths and builds only one shorter than
 the incumbent, and with odd set (shortest_odd_cycle) it counts only
-non-tree edges between vertices of equal depth.  ``_closed_walk`` is
-the digraphs' per-root BFS over (vertex, parity) states for a shortest
-(odd) closed walk, which shortest_dicycle and shortest_odd_dicycle cap
-at the most arcs that could still replace their incumbent; the shortest
-such walk over all roots is already a simple cycle.
-``light_holes`` is the one hole search, a sink Dijkstra per (center,
-neighbour): shortest_hole (and with it is_chordal's witness) runs it
-under unit weights, and the CVD LP's separation oracle under the scaled
-LP assignment.  Roots that lie on no cycle because they have no
+non-tree edges between vertices of equal depth.  shortest_dicycle is
+the one directed cycle search: ``_closed_walk`` is its per-root BFS over
+(vertex, parity) states for a shortest closed walk, odd with odd set
+(shortest_odd_dicycle), capped at the most arcs that could still replace
+the incumbent; the shortest such walk over all roots is already a simple
+cycle.  ``light_holes`` is the one hole search, a sink Dijkstra per
+(center, neighbour): shortest_hole (and with it is_chordal's self-check)
+runs it under unit weights, and the CVD LP's separation oracle under the
+scaled LP assignment.  Roots that lie on no cycle because they have no
 neighbours (no predecessors, for digraphs) are skipped.
 
 The five shortest-structure searches take a floor (default 0), a length
@@ -37,30 +36,27 @@ structure of a graph is a valid floor for every graph below it.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Iterator, Sequence
 
 from .graphs import Digraph, Graph, components
 
 
-def is_bipartite(g: Graph) -> tuple[bool, list[int]]:
-    """Return (True, BFS 2-coloring, roots in id order) or (False,
-    shortest odd cycle)."""
+def is_bipartite(g: Graph) -> bool:
+    """Whether a BFS from each uncoloured root 2-colours g."""
     color = [-1] * g.n
     for root in range(g.n):
         if color[root] != -1:
             continue
         color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        queue = [root]
+        for u in queue:  # queue grows while it is read: a BFS
             for w in g.neighbors(u):
                 if color[w] == -1:
                     color[w] = color[u] ^ 1
                     queue.append(w)
                 elif color[w] == color[u]:
-                    return False, shortest_odd_cycle(g)
-    return True, color
+                    return False
+    return True
 
 
 def cycle_rank(g: Graph) -> int:
@@ -68,29 +64,16 @@ def cycle_rank(g: Graph) -> int:
     return g.m - g.n + len(components(g))
 
 
-def is_acyclic_undirected(g: Graph) -> tuple[bool, list[int] | None]:
-    """Return (True, None) or (False, shortest cycle)."""
-    if cycle_rank(g) == 0:
-        return True, None
-    return False, shortest_cycle(g)
-
-
-def is_acyclic_directed(d: Digraph) -> tuple[bool, list[int] | None]:
-    """Return (True, Kahn's topological order) or (False, shortest
-    directed cycle)."""
+def is_acyclic_directed(d: Digraph) -> bool:
+    """Whether Kahn's algorithm removes every vertex."""
     indeg = [len(d.predecessors(v)) for v in range(d.n)]
-    queue = deque(v for v in range(d.n) if indeg[v] == 0)
-    order = []
-    while queue:
-        u = queue.popleft()
-        order.append(u)
+    order = [v for v in range(d.n) if indeg[v] == 0]
+    for u in order:  # order grows while it is read
         for w in d.successors(u):
             indeg[w] -= 1
             if indeg[w] == 0:
-                queue.append(w)
-    if len(order) == d.n:
-        return True, order
-    return False, shortest_dicycle(d)
+                order.append(w)
+    return len(order) == d.n
 
 
 def lexbfs_order(g: Graph) -> list[int]:
@@ -219,19 +202,15 @@ def shortest_hole(g: Graph, floor: int = 0) -> list[int] | None:
     return None if best is None else list(best)
 
 
-def is_chordal(g: Graph) -> tuple[bool, list[int]]:
-    """Return (True, perfect elimination order) or (False, shortest hole).
-
-    The reverse of a LexBFS order is a perfect elimination order exactly
-    on chordal graphs; the verdict comes from that check alone.
-    """
-    elim = list(reversed(lexbfs_order(g)))
-    if _is_peo(g, elim):
-        return True, elim
-    hole = shortest_hole(g)
-    if hole is None:
+def is_chordal(g: Graph) -> bool:
+    """Whether the reverse of a LexBFS order is a perfect elimination
+    order, which holds exactly on chordal graphs.  Always-on self-check:
+    a failed order check must leave a hole to find."""
+    if _is_peo(g, list(reversed(lexbfs_order(g)))):
+        return True
+    if shortest_hole(g) is None:
         raise AssertionError("PEO verification failed on a chordal graph")
-    return False, hole
+    return False
 
 
 def _closed_walk(
@@ -278,10 +257,9 @@ def _closed_walk(
     return None
 
 
-def is_odd_dicycle_free(d: Digraph) -> tuple[bool, list[int] | None]:
-    """Return (True, None) or (False, odd directed cycle witness)."""
-    cycle = shortest_odd_dicycle(d)
-    return cycle is None, cycle
+def is_odd_dicycle_free(d: Digraph) -> bool:
+    """Whether d has no odd directed cycle."""
+    return shortest_odd_dicycle(d) is None
 
 
 def shortest_cycle(g: Graph, floor: int = 0, odd: bool = False) -> list[int] | None:
@@ -334,9 +312,10 @@ def shortest_odd_cycle(g: Graph, floor: int = 0) -> list[int] | None:
     return shortest_cycle(g, floor, odd=True)
 
 
-def _shortest_dicycle(d: Digraph, odd: bool, floor: int) -> list[int] | None:
-    """A simple cycle from the shortest closed walk over all roots (the
-    first root wins ties); None if there is none."""
+def shortest_dicycle(d: Digraph, floor: int = 0, odd: bool = False) -> list[int] | None:
+    """A shortest directed cycle (an odd one if odd is set), or None if
+    there is none: the shortest closed walk over all roots, the first
+    root winning ties."""
     walk: list[int] | None = None
     prev, seen = [0] * (2 * d.n), [-1] * (2 * d.n)
     for s in range(d.n):
@@ -359,12 +338,6 @@ def _shortest_dicycle(d: Digraph, odd: bool, floor: int) -> list[int] | None:
     return walk[:-1]
 
 
-def shortest_dicycle(d: Digraph, floor: int = 0) -> list[int] | None:
-    """A shortest directed cycle, or None if the digraph is acyclic."""
-    return _shortest_dicycle(d, odd=False, floor=floor)
-
-
 def shortest_odd_dicycle(d: Digraph, floor: int = 0) -> list[int] | None:
-    """A shortest simple odd directed cycle, the shortest odd closed walk;
-    None if the digraph has no odd directed cycle."""
-    return _shortest_dicycle(d, odd=True, floor=floor)
+    """A shortest odd directed cycle, or None if there is none."""
+    return shortest_dicycle(d, floor, odd=True)

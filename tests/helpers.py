@@ -9,12 +9,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
+import networkx as nx
+
 from essentia.detect import FlowerCertificate
 from essentia.flows import SeparatorResult, min_vertex_separator
 from essentia.graphs import Digraph, Graph
 from essentia.matching import max_matching_adj, min_vertex_cover_bipartite
 from essentia.problems import PROBLEMS
-from essentia.recognize import is_bipartite
 from essentia.tpaths import _aux_graph, max_odd_T_path_packing
 
 
@@ -53,9 +54,11 @@ def min_odd_T_path_cover_bipartite(g: Graph, terminals: Iterable[int]) -> set[in
     """On a bipartite graph: minimum vertex set meeting every odd T-path;
     its size equals the maximum odd T-path packing."""
     T = frozenset(terminals)
-    ok, coloring = is_bipartite(g)
-    if not ok:
+    G = nx.Graph(list(g.edges()))
+    G.add_nodes_from(range(g.n))
+    if not nx.is_bipartite(G):
         raise ValueError("graph is not bipartite")
+    coloring = nx.bipartite.color(G)
     adj = _aux_graph(g, T, odd=True)
     aux_edges = []
     for x in range(len(adj)):

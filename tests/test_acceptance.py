@@ -177,7 +177,7 @@ def test_criterion_3_kernels():
         if len(opk) != brute_max_packing(g, T, odd=True):
             failures.append(("odd-packing", g))
         from essentia.recognize import is_bipartite
-        if is_bipartite(g)[0]:
+        if is_bipartite(g):
             cover = min_odd_T_path_cover_bipartite(g, T)
             if len(cover) != len(opk):
                 failures.append(("odd-duality", g))

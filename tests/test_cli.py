@@ -13,8 +13,9 @@ import pytest
 
 import essentia.cli as cli_mod
 from essentia.cli import EXIT_USAGE, _certificate_payload, main
-from essentia.generate import gnp, planted_flower
+from essentia.generate import gnp, planted_ess, planted_flower
 from essentia.graphs import MAX_VERTICES, serialize_graph
+from essentia.problems import PROBLEM_IDS
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -507,6 +508,38 @@ def test_planted_flower_at_the_parse_limit_is_built(capsys, monkeypatch):
                                 "--q", str(MAX_VERTICES - 1)])
     assert code == 0 and out.startswith("p ud 2 1")
     assert built == [MAX_VERTICES - 1]
+
+
+def _small_planted_models(problem: str):
+    """(gen options, the graph they build) for small planted models."""
+    for q in (0, 1, 3):
+        yield ["planted-flower", "--q", str(q)], planted_flower(problem, q)
+    if problem in ("doct", "cvd"):  # planted_ess refuses these
+        return
+    for centers, petals, background in ((1, 0, 0), (2, None, 1), (1, 3, 2), (3, None, 0)):
+        argv = ["planted-ess", "--centers", str(centers), "--background", str(background)]
+        if petals is not None:
+            argv += ["--petals", str(petals)]
+        yield argv, planted_ess(problem, centers, petals, background)
+
+
+@pytest.mark.parametrize("problem", PROBLEM_IDS)
+def test_planted_models_at_the_vertex_limit(problem, capsys, monkeypatch, tmp_path):
+    # gen counts a planted model's vertices before building it, by a
+    # formula of its own: one vertex fewer in the limit refuses the
+    # model, and the limit itself builds exactly the generator's graph.
+    out = tmp_path / "g.gr"
+    for options, g in _small_planted_models(problem):
+        argv = ["gen", "--model", *options, "--problem", problem, "--out", str(out)]
+        monkeypatch.setattr(cli_mod, "MAX_VERTICES", g.n - 1)
+        code, _, err = run(capsys, argv)
+        assert code == EXIT_USAGE and f"would build {g.n} vertices" in err, argv
+        assert not out.exists(), argv
+        monkeypatch.setattr(cli_mod, "MAX_VERTICES", g.n)
+        code, _, _ = run(capsys, argv)
+        assert code == 0, argv
+        assert out.read_text() == serialize_graph(g), argv  # header p <tag> n m
+        out.unlink()
 
 
 def test_python_dash_m_runs_the_cli():

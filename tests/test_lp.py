@@ -196,13 +196,13 @@ def test_lp_cost_lower_bounds_integral_avoiding(seed):
     best = None
     for k in range(len(others) + 1):
         for sub in combinations(others, k):
-            if is_chordal(delete_vertices(g, sub))[0]:
+            if is_chordal(delete_vertices(g, sub)):
                 best = k
                 break
         if best is not None:
             break
     assert state.cost <= best
-    if is_chordal(delete_vertices(g, [v]))[0]:
+    if is_chordal(delete_vertices(g, [v])):
         # Bounded gap when everything off v is already chordal.
         assert best <= 12 * state.cost or best == 0
 

@@ -1,4 +1,5 @@
-"""Recognizers vs brute force on exhaustive small corpora."""
+"""Recognizers and the shortest-structure searches vs brute force on
+exhaustive small corpora, and vs networkx beyond its reach."""
 from __future__ import annotations
 
 import math
@@ -15,12 +16,13 @@ from conftest import (
     random_digraph,
     random_graph,
 )
-from essentia.generate import gnp
+import essentia.recognize as recognize
+from essentia.generate import gnp, planted_flower
 from essentia.graphs import Digraph, Graph, delete_vertices, isolate
+from essentia.oracle import feasible
 from essentia.problems import PROBLEMS
 from essentia.recognize import (
     is_acyclic_directed,
-    is_acyclic_undirected,
     is_bipartite,
     is_chordal,
     is_odd_dicycle_free,
@@ -81,65 +83,71 @@ def brute_is_chordal(g: Graph) -> bool:
     return True
 
 
+def is_forest(g: Graph) -> bool:
+    """fvs's recognizer: the cycle rank is 0."""
+    return PROBLEMS["fvs"].in_class(g)
+
+
+def to_nx(g: Graph | Digraph):
+    """g as a networkx graph (digraph) on vertices 0 .. n - 1."""
+    G = nx.DiGraph(list(g.arcs())) if g.directed else nx.Graph(list(g.edges()))
+    G.add_nodes_from(range(g.n))
+    return G
+
+
 def test_bipartite_basic():
-    ok, coloring = is_bipartite(cycle_graph(4))
-    assert ok
-    ok, witness = is_bipartite(cycle_graph(5))
-    assert not ok and len(witness) == 5
-    ok, _ = is_bipartite(Graph(0, []))
-    assert ok
+    assert is_bipartite(cycle_graph(4))
+    assert not is_bipartite(cycle_graph(5))
+    assert len(shortest_odd_cycle(cycle_graph(5))) == 5
+    assert is_bipartite(Graph(0, []))
 
 
 @pytest.mark.parametrize("seed", range(80))
 def test_bipartite_random(seed):
     rng = random.Random(seed)
     g = random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.7]))
-    ok, payload = is_bipartite(g)
-    if ok:
-        assert all(payload[u] != payload[v] for u, v in g.edges())
-    else:
-        assert_cycle(g, payload, odd=True)
+    ok = is_bipartite(g)
+    assert ok == nx.is_bipartite(to_nx(g))
+    cycle = shortest_odd_cycle(g)
+    assert ok == (cycle is None)
+    if not ok:
+        assert_cycle(g, cycle, odd=True)
 
 
 def test_acyclic_undirected():
-    ok, _ = is_acyclic_undirected(path_graph(4))
-    assert ok
+    assert is_forest(path_graph(4))
     two_trees = Graph(5, [(0, 1), (2, 3), (3, 4)])
-    assert is_acyclic_undirected(two_trees)[0]
-    ok, cycle = is_acyclic_undirected(cycle_graph(3))
-    assert not ok
-    assert_cycle(cycle_graph(3), cycle)
+    assert is_forest(two_trees)
+    assert not is_forest(cycle_graph(3))
+    assert_cycle(cycle_graph(3), shortest_cycle(cycle_graph(3)))
 
 
 def test_acyclic_directed():
-    d = Digraph(3, [(0, 1), (1, 2)])
-    ok, topo = is_acyclic_directed(d)
-    assert ok and len(topo) == 3
-    pos = {v: i for i, v in enumerate(topo)}
-    assert all(pos[u] < pos[v] for u, v in d.arcs())
+    assert is_acyclic_directed(Digraph(3, [(0, 1), (1, 2)]))
     tri = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-    ok, cycle = is_acyclic_directed(tri)
-    assert not ok
-    assert_dicycle(tri, cycle)
-    assert is_acyclic_directed(Digraph(1, []))[0]
+    assert not is_acyclic_directed(tri)
+    assert_dicycle(tri, shortest_dicycle(tri))
+    assert is_acyclic_directed(Digraph(1, []))
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_acyclic_random(seed):
     rng = random.Random(300 + seed)
     g = random_graph(rng, rng.randint(1, 9), 0.3)
-    ok, cycle = is_acyclic_undirected(g)
+    ok = is_forest(g)
     # A graph is a forest iff m == n - #components.
     assert ok == (g.m == g.n - sum(1 for _ in _components(g)))
+    cycle = shortest_cycle(g)
+    assert ok == (cycle is None)
     if not ok:
         assert_cycle(g, cycle)
     d = random_digraph(rng, rng.randint(1, 8), 0.3)
-    ok, payload = is_acyclic_directed(d)
+    ok = is_acyclic_directed(d)
+    assert ok == nx.is_directed_acyclic_graph(to_nx(d))
+    cycle = shortest_dicycle(d)
+    assert ok == (cycle is None)
     if not ok:
-        assert_dicycle(d, payload)
-    else:
-        pos = {v: i for i, v in enumerate(payload)}
-        assert all(pos[u] < pos[v] for u, v in d.arcs())
+        assert_dicycle(d, cycle)
 
 
 @pytest.mark.parametrize("n,seed", [(n, s) for n in (20, 50, 100, 200) for s in range(3)])
@@ -147,17 +155,17 @@ def test_acyclic_vs_networkx(n, seed):
     # Mean degree around one, so both answers occur.
     rng = random.Random(900 + seed)
     d = random_digraph(rng, n, rng.choice([0.5, 1.0, 1.5]) / n)
-    D = nx.DiGraph(list(d.arcs()))
-    D.add_nodes_from(range(n))
-    ok, payload = is_acyclic_directed(d)
-    assert ok == nx.is_directed_acyclic_graph(D)
+    ok = is_acyclic_directed(d)
+    assert ok == nx.is_directed_acyclic_graph(to_nx(d))
+    cycle = shortest_dicycle(d)
+    assert ok == (cycle is None)
     if not ok:
-        assert_dicycle(d, payload)
+        assert_dicycle(d, cycle)
     g = random_graph(rng, n, rng.choice([0.5, 1.0, 1.5]) / n)
-    G = nx.Graph(list(g.edges()))
-    G.add_nodes_from(range(n))
-    ok, cycle = is_acyclic_undirected(g)
-    assert ok == nx.is_forest(G)
+    ok = is_forest(g)
+    assert ok == nx.is_forest(to_nx(g))
+    cycle = shortest_cycle(g)
+    assert ok == (cycle is None)
     if not ok:
         assert_cycle(g, cycle)
 
@@ -179,65 +187,53 @@ def _components(g: Graph):
         yield comp
 
 
-def verify_peo(g: Graph, elim) -> bool:
-    position = {v: i for i, v in enumerate(elim)}
-    for v in elim:
-        later = [u for u in g.neighbors(v) if position[u] > position[v]]
-        for a_i in range(len(later)):
-            for b_i in range(a_i + 1, len(later)):
-                if not g.has_edge(later[a_i], later[b_i]):
-                    return False
-    return True
-
-
 def test_chordal_basic():
-    ok, hole = is_chordal(cycle_graph(4))
-    assert not ok and sorted(hole) == [0, 1, 2, 3]
-    ok, peo = is_chordal(path_graph(5))
-    assert ok and verify_peo(path_graph(5), peo)
-    assert is_chordal(complete_graph(5))[0]
+    assert not is_chordal(cycle_graph(4))
+    assert sorted(shortest_hole(cycle_graph(4))) == [0, 1, 2, 3]
+    assert is_chordal(path_graph(5))
+    assert is_chordal(complete_graph(5))
 
 
 def test_chordal_c5_plus_chord():
     # C5 plus one chord leaves exactly one hole: the remaining C4.
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
-    ok, hole = is_chordal(g)
-    assert not ok
-    assert sorted(hole) == [0, 2, 3, 4]
+    assert not is_chordal(g)
+    assert sorted(shortest_hole(g)) == [0, 2, 3, 4]
 
 
 @pytest.mark.parametrize("seed", range(500))
 def test_chordal_vs_brute(seed):
     rng = random.Random(7000 + seed)
     g = random_graph(rng, rng.randint(1, 7), rng.choice([0.25, 0.5, 0.75]))
-    ok, payload = is_chordal(g)
+    ok = is_chordal(g)
     assert ok == brute_is_chordal(g)
-    if ok:
-        assert verify_peo(g, payload)
-    else:
-        assert_hole(g, payload)
-        assert len(payload) == brute_shortest_hole_len(g)
+    hole = shortest_hole(g)
+    assert ok == (hole is None)
+    if not ok:
+        assert_hole(g, hole)
+        assert len(hole) == brute_shortest_hole_len(g)
 
 
 def test_odd_dicycle_free():
     two_cycle = Digraph(2, [(0, 1), (1, 0)])
-    assert is_odd_dicycle_free(two_cycle)[0]
+    assert is_odd_dicycle_free(two_cycle)
     tri = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-    ok, cycle = is_odd_dicycle_free(tri)
-    assert not ok
-    assert_dicycle(tri, cycle, odd=True)
+    assert not is_odd_dicycle_free(tri)
+    assert_dicycle(tri, shortest_odd_dicycle(tri), odd=True)
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_odd_dicycle_vs_brute(seed):
     rng = random.Random(500 + seed)
     d = random_digraph(rng, rng.randint(1, 7), rng.choice([0.2, 0.35]))
-    ok, payload = is_odd_dicycle_free(d)
+    ok = is_odd_dicycle_free(d)
     odd_girth = brute_shortest_dicycle_len(d, odd=True)
     assert ok == (odd_girth is None)
+    odd = shortest_odd_dicycle(d)
+    assert ok == (odd is None)
     if not ok:
-        assert_dicycle(d, payload, odd=True)
-        assert len(payload) == odd_girth
+        assert_dicycle(d, odd, odd=True)
+        assert len(odd) == odd_girth
     cycle = shortest_dicycle(d)
     girth = brute_shortest_dicycle_len(d, odd=False)
     assert (cycle is None) == (girth is None)
@@ -283,13 +279,13 @@ def test_shortest_structures_random(seed):
     g = random_graph(rng, rng.randint(1, 8), 0.4)
     c = shortest_cycle(g)
     if c is None:
-        assert is_acyclic_undirected(g)[0]
+        assert brute_girth(g) is None
     else:
         assert_cycle(g, c)
         assert len(c) == brute_girth(g)
     oc = shortest_odd_cycle(g)
     if oc is None:
-        assert is_bipartite(g)[0]
+        assert brute_girth(g, odd=True) is None
     else:
         assert_cycle(g, oc, odd=True)
         assert len(oc) == brute_girth(g, odd=True)
@@ -303,21 +299,22 @@ def test_shortest_structures_random(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_recognizers_vs_networkx(seed):
-    # Beyond brute-force reach: chordality with a shortest-hole witness,
-    # girth and bipartiteness against networkx at n = 20-40.
+    # Beyond brute-force reach: chordality and a shortest hole, girth and
+    # bipartiteness against networkx at n = 20-40.
     rng = random.Random(31_000 + seed)
     g = random_graph(rng, rng.randint(20, 40), rng.choice([0.04, 0.08, 0.12, 0.2]))
-    G = nx.Graph(list(g.edges()))
-    G.add_nodes_from(range(g.n))
-    ok, payload = is_chordal(g)
+    G = to_nx(g)
+    ok = is_chordal(g)
     assert ok == nx.is_chordal(G)
+    hole = shortest_hole(g)
+    assert ok == (hole is None)
     if not ok:
-        assert_hole(g, payload)
-        shorter = nx.chordless_cycles(G, length_bound=len(payload) - 1)
+        assert_hole(g, hole)
+        shorter = nx.chordless_cycles(G, length_bound=len(hole) - 1)
         assert all(len(c) < 4 for c in shorter)
     c = shortest_cycle(g)
     assert (len(c) if c is not None else math.inf) == nx.girth(G)
-    assert is_bipartite(g)[0] == nx.is_bipartite(G)
+    assert is_bipartite(g) == nx.is_bipartite(G)
 
 
 def _shortest_length(cycles, odd: bool) -> float:
@@ -327,14 +324,13 @@ def _shortest_length(cycles, odd: bool) -> float:
 @pytest.mark.parametrize("seed", range(40))
 def test_cycle_searches_vs_networkx(seed):
     # Beyond brute-force reach: the odd-cycle BFS and the digraphs'
-    # closed-walk searches against cycle enumeration by networkx at
-    # n = 20-40.  Only cycles shorter than the one returned are
-    # enumerated, plus its own length.
+    # closed-walk search, plain and odd, against cycle enumeration by
+    # networkx at n = 20-40.  Only cycles shorter than the one returned
+    # are enumerated, plus its own length.
     rng = random.Random(32_000 + seed)
     n = rng.randint(20, 40)
     g = random_graph(rng, n, rng.choice([0.04, 0.06, 0.08, 0.12]))
-    G = nx.Graph(list(g.edges()))
-    G.add_nodes_from(range(n))
+    G = to_nx(g)
     oc = shortest_odd_cycle(g)
     if oc is None:
         assert nx.is_bipartite(G)
@@ -346,8 +342,7 @@ def test_cycle_searches_vs_networkx(seed):
         assert found == len(oc)
 
     d = random_digraph(rng, n, rng.choice([0.03, 0.04, 0.05, 0.08]))
-    D = nx.DiGraph(list(d.arcs()))
-    D.add_nodes_from(range(n))
+    D = to_nx(d)
     c = shortest_dicycle(d)
     if c is None:
         assert nx.is_directed_acyclic_graph(D)
@@ -458,31 +453,60 @@ def test_isolating_a_vertex_never_shortens_the_structure(search, directed):
                 assert len(below) >= len(plain)
 
 
-# Each problem's recognizer, whose no-witness is the problem's structure.
-RECOGNIZERS = {
-    "fvs": is_acyclic_undirected,
-    "oct": is_bipartite,
-    "dfvs": is_acyclic_directed,
-    "doct": is_odd_dicycle_free,
-    "cvd": is_chordal,
-}
-
-
-@pytest.mark.parametrize("problem", sorted(RECOGNIZERS))
+@pytest.mark.parametrize("problem", ["cvd", "dfvs", "doct", "fvs", "oct"])
 def test_no_witness_is_the_forbidden_structure(problem):
-    # The verdict is "no structure", and a "no" comes with exactly the
-    # structure the branching solver pivots on.
+    # A "no" has one witness, the structure the branching solver pivots
+    # on: in_class says no exactly when forbidden_structure finds one.
     prob = PROBLEMS[problem]
     rng = random.Random(f"witness-{problem}")
     for _ in range(300):
         n = rng.randint(1, 16)
         p = min(1.0, rng.uniform(0.8, 3.0) / max(n - 1, 1))
         g = random_digraph(rng, n, p / 2) if prob.directed else random_graph(rng, n, p)
-        ok, witness = RECOGNIZERS[problem](g)
-        structure = prob.forbidden_structure(g, 0)
-        assert ok == (structure is None)
-        if not ok:
-            assert witness == structure
+        assert prob.in_class(g) == (prob.forbidden_structure(g, 0) is None)
+
+
+def _class_corpus(problem: str):
+    """Members and non-members of the problem's class: the empty graph,
+    one vertex, a flower with no petal and a flower with two."""
+    directed = PROBLEMS[problem].directed
+    empty = Digraph(0, []) if directed else Graph(0, [])
+    one = Digraph(1, []) if directed else Graph(1, [])
+    return [empty, one, planted_flower(problem, 0), planted_flower(problem, 2)]
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_in_class_is_a_predicate(problem, monkeypatch):
+    # in_class answers a plain bool, the oracle's verdict on deleting
+    # nothing.  On a non-member, only cvd's self-check and doct's
+    # recognizer, which is the search's None test, run a structure search.
+    calls = []
+
+    def counting(search):
+        def counted(*args, **kwargs):
+            calls.append(search.__name__)
+            return search(*args, **kwargs)
+        return counted
+
+    for search, _ in SEARCHES:  # looked up on the module at call time
+        monkeypatch.setattr(recognize, search.__name__, counting(search))
+    prob = PROBLEMS[problem]
+    rng = random.Random(f"predicate-{problem}")
+    graphs = _class_corpus(problem) + [
+        random_digraph(rng, n, 0.3) if prob.directed else random_graph(rng, n, 0.4)
+        for n in range(2, 10)]
+    # The searches a non-member's recognizer runs.
+    expected = {"cvd": ["shortest_hole"], "doct": ["shortest_odd_dicycle", "shortest_dicycle"]}
+    answers = set()
+    for g in graphs:
+        calls.clear()
+        verdict = prob.in_class(g)
+        assert type(verdict) is bool
+        assert verdict == feasible(problem, g, ())
+        answers.add(verdict)
+        if not verdict:
+            assert calls == expected.get(problem, []), (problem, calls)
+    assert answers == {True, False}
 
 
 def brute_girth(g: Graph, odd=False):

@@ -215,7 +215,7 @@ def test_cover_random_duality(seed):
         g, _ = random_bipartite(rng, a, b, rng.choice([0.3, 0.6]))
     else:
         g = random_graph(rng, rng.randint(1, 8), 0.3)
-        if not is_bipartite(g)[0]:
+        if not is_bipartite(g):
             return
     T = {v for v in range(g.n) if rng.random() < 0.5}
     s = min_odd_T_path_cover_bipartite(g, T)
