@@ -160,9 +160,9 @@ def cmd_detect(args) -> int:
     g, digest = _load_graph(args.input, args.problem)
     t1 = time.perf_counter()
     res = detect(args.problem, g, args.k)
+    payload = _detection_payload(res)  # builds the certificates it prints
     t2 = time.perf_counter()
     c = PROBLEMS[args.problem].c
-    payload = _detection_payload(res)
     timings = {"parse_ms": (t1 - t0) * 1e3, "detect_ms": (t2 - t1) * 1e3}
     report = _report("detect", args.problem, c, args.k, payload, timings, None, digest)
     lines = [
@@ -286,13 +286,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    # The vertices a planted model implies (--n is capped by its type):
-    # 1, 2 or 3 per petal, one per center, 2 or 3 per background piece.
-    petal = {"vc": 1, "cvd": 3}.get(args.problem, 2)
-    petals = args.centers + args.background + 2 if args.petals is None else args.petals
-    n = {"planted-flower": 1 + petal * args.q,
-         "planted-ess": args.centers * (1 + petal * petals)
-         + (2 if args.problem == "vc" else 3) * args.background}.get(args.model, 0)
+    if args.model != "gnp" and args.problem is None:
+        raise InputError(f"{args.model} needs --problem")
+    # --n is capped by its type; a planted model's size follows from its options.
+    if args.model == "planted-flower":
+        n = generate.planted_size(args.problem, args.q)
+    elif args.model == "planted-ess":
+        n = generate.planted_size(args.problem, args.petals, args.centers, args.background)
+    else:
+        n = 0
     if n > MAX_VERTICES:
         print(f"error: gen would build {n} vertices, more than {MAX_VERTICES}",
               file=sys.stderr)
@@ -300,12 +302,8 @@ def cmd_gen(args) -> int:
     if args.model == "gnp":
         g = generate.gnp(args.n, args.p, args.seed, args.directed)
     elif args.model == "planted-flower":
-        if args.problem is None:
-            raise InputError("planted-flower needs --problem")
         g = generate.planted_flower(args.problem, args.q)
     else:
-        if args.problem is None:
-            raise InputError("planted-ess needs --problem")
         try:
             g = generate.planted_ess(
                 args.problem, args.centers, args.petals, args.background, args.seed

@@ -12,9 +12,12 @@ w_in -> w_out of capacity one, in the order its residual dicts yield
 them, so the searches, the separator and the paths are that network's.
 An augmenting path links u -> w for each arc it takes forward and
 unlinks w where it steps from w's out-copy back into its in-copy; those
-two steps rewrite every link it passes.  The minimum cut is read off the
-last, failed search: the in-copies it reached whose out-copies it did
-not; its size, checked on construction, is the number of paths.
+two steps rewrite every link it passes.  A search keeps one flat list
+over the 2n states, the state it reached each from (-2 while unreached),
+and reads its queue as a list that grows while it is read.  The minimum
+cut is read off the last, failed search: the in-copies it reached whose
+out-copies it did not; its size, checked on construction, is the number
+of paths.
 For s == t the paths are directed cycles through s that meet only at s.
 """
 from __future__ import annotations
@@ -46,28 +49,33 @@ def min_vertex_separator(d: Digraph, s: int, t: int) -> SeparatorResult:
     if d.has_arc(s, t):
         raise SeparatorUndefined(f"arc ({s}, {t}) present: separator undefined")
     n = d.n
+    succ = d.successors
     into, out = [-1] * n, [-1] * n
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while True:
-        reach = {source: -1}  # state -> the state the search came from
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
+        reach = [-2] * (2 * n)  # state -> the state the search came from
+        reach[source] = -1
+        queue = [source]
+        for x in queue:  # queue grows while it is read: a BFS
             if x == sink:
                 break
             w = x >> 1
             if x & 1:
-                moves = [2 * y for y in d.successors(w)]
-                if into[w] != -1:
-                    moves.append(x - 1)
+                for u in succ(w):
+                    y = 2 * u  # u's in-copy
+                    if reach[y] == -2:
+                        reach[y] = x
+                        queue.append(y)
+                if into[w] != -1 and reach[x - 1] == -2:
+                    reach[x - 1] = x
+                    queue.append(x - 1)
             else:
-                moves = (x + 1 if into[w] == -1 else 2 * into[w] + 1,)
-            for y in moves:
-                if y not in reach:
+                y = x + 1 if into[w] == -1 else 2 * into[w] + 1
+                if reach[y] == -2:
                     reach[y] = x
                     queue.append(y)
-        if sink not in reach:
+        if reach[sink] == -2:
             break
         flow += 1
         if flow > n:
@@ -84,7 +92,7 @@ def min_vertex_separator(d: Digraph, s: int, t: int) -> SeparatorResult:
             x = p
         into[t] = -1  # so that, for s == t, s's out-copy is not on a path
 
-    separator = frozenset(w for w in range(n) if 2 * w in reach and 2 * w + 1 not in reach)
+    separator = frozenset([w for w in range(n) if reach[2 * w] != -2 and reach[2 * w + 1] == -2])
     paths = []
     for w in d.successors(s):
         if into[w] == s:

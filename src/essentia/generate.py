@@ -6,7 +6,8 @@ center vertex (the friendship-style families).  planted_ess composes
 several such centers with a small background, so the optimum is large
 while only the background part of it is avoidable; sizes follow the
 rule petals >= centers + background + 2, which makes every center
-essential at coefficient 2.
+essential at coefficient 2.  planted_size counts either model's vertices
+without building it, so a caller can refuse one that is too large.
 """
 from __future__ import annotations
 
@@ -34,35 +35,45 @@ def gnp(n: int, p: float, seed: int, directed: bool = False) -> Graph | Digraph:
     return Graph(n, edges)
 
 
-def _flower_edges(problem: str, center: int, start: int, petals: int):
-    """Edges/arcs of a flower at center using fresh ids from start on;
-    returns (pairs, next_free_id)."""
-    pairs = []
-    nxt = start
-    if problem == "vc":
-        for _ in range(petals):
-            pairs.append((center, nxt))
-            nxt += 1
-    elif problem in ("fvs", "oct", "dfvs", "doct"):
-        for _ in range(petals):
-            a, b = nxt, nxt + 1
-            pairs += [(center, a), (a, b), (b, center)]
-            nxt += 2
-    elif problem == "cvd":
-        for _ in range(petals):
-            a, b, c = nxt, nxt + 1, nxt + 2
-            pairs += [(center, a), (a, b), (b, c), (c, center)]
-            nxt += 3
-    else:
+# problem -> (fresh vertices per petal of a planted flower, vertices per
+# background piece).  A petal is an edge to a leaf for vc, else a cycle
+# through the center: a triangle, or a 4-hole for cvd; a background piece
+# is an edge for vc, else a triangle.
+_SIZES = {"vc": (1, 2), "fvs": (2, 3), "oct": (2, 3), "dfvs": (2, 3), "doct": (2, 3),
+          "cvd": (3, 3)}
+
+
+def planted_size(problem: str, petals: int | None, centers: int = 1, background: int = 0) -> int:
+    """The vertex count of planted_ess(problem, centers, petals,
+    background), without building it; petals=None is its default.  With
+    the defaults for centers and background it is that of
+    planted_flower(problem, petals)."""
+    if problem not in _SIZES:
         raise ValueError(f"unknown problem {problem!r}")
-    return pairs, nxt
+    petal, piece = _SIZES[problem]
+    if petals is None:
+        petals = centers + background + 2
+    return centers * (1 + petal * petals) + piece * background
+
+
+def _flower_edges(center: int, petal: int, petals: int) -> list[tuple[int, int]]:
+    """Edges/arcs of a flower at center whose petals take petal fresh ids
+    each from center + 1 on: a path from center through a petal's ids,
+    closed back to center when there are two or more."""
+    fresh = range(center + 1, center + 1 + petal * petals)
+    pairs = [(center, a) for a in fresh[::petal]]
+    pairs += [(x, x + 1) for x in fresh if (x - center) % petal]  # x is not a petal's last
+    if petal > 1:
+        pairs += [(b, center) for b in fresh[petal - 1::petal]]
+    return pairs
 
 
 def planted_flower(problem: str, petals: int) -> Graph | Digraph:
     """One center with the given number of petals (vertex 0)."""
     if petals < 0:
         raise ValueError("petals must be non-negative")
-    pairs, n = _flower_edges(problem, 0, 1, petals)
+    n = planted_size(problem, petals)
+    pairs = _flower_edges(0, _SIZES[problem][0], petals)
     return Digraph(n, pairs) if PROBLEMS[problem].directed else Graph(n, pairs)
 
 
@@ -90,23 +101,16 @@ def planted_ess(
         petals = centers + background + 2
     if petals < 0:
         raise ValueError("petals must be non-negative")
+    n = planted_size(problem, petals, centers, background)
+    petal, piece = _SIZES[problem]
+    flower = 1 + petal * petals
     pairs = []
-    nxt = 0
-    for _ in range(centers):
-        center = nxt
-        nxt += 1
-        flower, nxt = _flower_edges(problem, center, nxt, petals)
-        pairs += flower
-    for _ in range(background):
-        if problem == "vc":
-            pairs.append((nxt, nxt + 1))
-            nxt += 2
-        else:
-            a, b, c = nxt, nxt + 1, nxt + 2
-            pairs += [(a, b), (b, c), (c, a)]
-            nxt += 3
+    for center in range(0, centers * flower, flower):
+        pairs += _flower_edges(center, petal, petals)
+    for a in range(centers * flower, n, piece):  # a piece is a one-petal flower at a
+        pairs += _flower_edges(a, piece - 1, 1)
     rng = random.Random(seed)
-    perm = list(range(nxt))
+    perm = list(range(n))
     rng.shuffle(perm)
     pairs = [(perm[u], perm[v]) for u, v in pairs]
-    return Digraph(nxt, pairs) if PROBLEMS[problem].directed else Graph(nxt, pairs)
+    return Digraph(n, pairs) if PROBLEMS[problem].directed else Graph(n, pairs)

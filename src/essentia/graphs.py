@@ -45,6 +45,10 @@ class GraphFormatError(GraphError):
         self.line_no = line_no
 
 
+def _sorted_rows(sets: list[set[int]]) -> tuple[tuple[int, ...], ...]:
+    return tuple([tuple(sorted(row)) for row in sets])
+
+
 class _Adjacency:
     """The core of Graph and Digraph: n and the rows _out and _in."""
 
@@ -68,8 +72,8 @@ class _Adjacency:
                 raise GraphError(f"duplicate {self._pair} ({u}, {v})")
             out[u].add(v)
             inc[v].add(u)
-        self._out = tuple([tuple(sorted(s)) for s in out])
-        self._in = tuple([tuple(sorted(s)) for s in inc]) if self.directed else self._out
+        self._out = _sorted_rows(out)
+        self._in = _sorted_rows(inc) if self.directed else self._out
 
     @property
     def m(self) -> int:
@@ -268,11 +272,14 @@ def induced(g: Graph | Digraph, vs: Sequence[int]) -> Graph | Digraph:
 
 
 def parse_graph(text: str) -> Graph | Digraph:
-    """Parse the line-based graph format; raises GraphFormatError."""
+    """Parse the line-based graph format; raises GraphFormatError.  Each
+    edge is checked once, here, and the rows are built without the
+    revalidation of ``Graph(n, pairs)``."""
     kinds = {kind._tag: kind for kind in (Graph, Digraph)}
     header: tuple[type, int, int, int] | None = None  # (kind, n, m, line_no)
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    out: list[set[int]] = []
+    inc: list[set[int]] = []  # out itself for an undirected graph
+    count = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -291,7 +298,10 @@ def parse_graph(text: str) -> Graph | Digraph:
                 raise GraphFormatError(line_no, "negative count in header")
             if n > MAX_VERTICES:
                 raise GraphFormatError(line_no, f"more than {MAX_VERTICES} vertices")
-            header = (kinds[fields[1]], n, m, line_no)
+            kind = kinds[fields[1]]
+            header = (kind, n, m, line_no)
+            out = [set() for _ in range(n)]
+            inc = [set() for _ in range(n)] if kind.directed else out
         elif fields[0] == "e":
             if header is None:
                 raise GraphFormatError(line_no, "edge before header")
@@ -301,27 +311,30 @@ def parse_graph(text: str) -> Graph | Digraph:
                 u1, v1 = int(fields[1]), int(fields[2])
             except ValueError:
                 raise GraphFormatError(line_no, f"malformed edge line {line!r}") from None
-            kind, n, _, _ = header
             if not (1 <= u1 <= n and 1 <= v1 <= n):
                 raise GraphFormatError(line_no, f"vertex id out of range: {line!r}")
             if u1 == v1:
                 raise GraphFormatError(line_no, f"self-loop: {line!r}")
             u, v = u1 - 1, v1 - 1
-            key = (u, v) if kind.directed else (min(u, v), max(u, v))
-            if key in seen:
+            if v in out[u]:  # for a graph, u in out[v] too
                 raise GraphFormatError(line_no, f"duplicate {kind._pair}: {line!r}")
-            seen.add(key)
-            pairs.append((u, v))
+            out[u].add(v)
+            inc[v].add(u)
+            count += 1
         else:
             raise GraphFormatError(line_no, f"unknown line type {fields[0]!r}")
     if header is None:
         raise GraphFormatError(1, "missing header")
     kind, n, m, header_line = header
-    if len(pairs) != m:
+    if count != m:
         raise GraphFormatError(
-            header_line, f"header declares {m} edges but {len(pairs)} were given"
+            header_line, f"header declares {m} edges but {count} were given"
         )
-    return kind(n, pairs)
+    g = kind.__new__(kind)
+    g.n = n
+    g._out = _sorted_rows(out)
+    g._in = _sorted_rows(inc) if kind.directed else g._out
+    return g
 
 
 def serialize_graph(g: Graph | Digraph) -> str:

@@ -23,5 +23,6 @@ def component_scores(problem: str, g: Graph | Digraph) -> list[tuple[int, Flower
         h = induced(g, vs)
         for i, v in enumerate(vs):
             score, cert = flower_number(h, i)
-            out[v] = (score, cert.relabel(vs))
+            petals = tuple(tuple(vs[x] for x in p) for p in cert.petals)
+            out[v] = (score, FlowerCertificate(vs[cert.center], petals))
     return out

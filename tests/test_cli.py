@@ -525,8 +525,8 @@ def _small_planted_models(problem: str):
 
 @pytest.mark.parametrize("problem", PROBLEM_IDS)
 def test_planted_models_at_the_vertex_limit(problem, capsys, monkeypatch, tmp_path):
-    # gen counts a planted model's vertices before building it, by a
-    # formula of its own: one vertex fewer in the limit refuses the
+    # gen counts a planted model's vertices before building it, with
+    # generate.planted_size: one vertex fewer in the limit refuses the
     # model, and the limit itself builds exactly the generator's graph.
     out = tmp_path / "g.gr"
     for options, g in _small_planted_models(problem):

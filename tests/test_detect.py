@@ -1,6 +1,7 @@
 """Flower numbers vs the brute-force oracle; detector contracts G1/G2."""
 from __future__ import annotations
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from conftest import complete_graph, cycle_graph, disjoint_union, random_digraph, random_graph
 from essentia.detect import (
     _SCORES,
+    _doct_certificate,
     _doct_scores,
     _shorten,
     detect,
@@ -22,6 +24,7 @@ from essentia.generate import gnp, planted_ess, planted_flower
 from essentia.graphs import Digraph, Graph, delete_vertices
 from essentia.matching import min_vertex_cover_bipartite
 from essentia.oracle import brute_flower, verify_detection
+from essentia.solve import meta_solve
 from essentia.tpaths import max_odd_T_path_packing, max_T_path_packing
 from helpers import verify_flower_certificate
 from reference_detect import component_scores
@@ -343,9 +346,10 @@ def test_flower_minmax_when_rest_in_class(seed):
 
 def _whole_graph_scores(problem, g):
     """The per-vertex kernels run on the whole graph, without the split
-    into blocks or components."""
+    into blocks or components, each with its certificate."""
     if problem == "doct":
-        return _doct_scores(g, range(g.n))
+        return [(size, _doct_certificate(g, v, res, range(g.n)))
+                for v, (size, res) in enumerate(_doct_scores(g, range(g.n)))]
     flower_number = {"fvs": flower_number_fvs, "oct": flower_number_oct,
                      "dfvs": flower_number_dfvs}[problem]
     return [flower_number(g, v) for v in range(g.n)]
@@ -391,10 +395,11 @@ def test_block_scores_match_the_component_reference(problem, p):
     directed = problem == "dfvs"
     for n in range(1, 61):
         g = gnp(n, p, n, directed=directed)
-        scored = _SCORES[problem][0](g)
+        scores, certify = _SCORES[problem][0](g)
         reference = component_scores(problem, g)
-        assert [s for s, _ in scored] == [s for s, _ in reference], n
-        for v, (score, cert) in enumerate(scored):
+        assert scores == [s for s, _ in reference], n
+        for v, score in enumerate(scores):
+            cert = certify(v)
             assert cert.center == v and len(cert.petals) == score
             if n >= 24:
                 verify_flower_certificate(problem, g, cert)
@@ -405,7 +410,67 @@ def test_block_scores_match_the_component_reference_on_planted_flowers(problem):
     for centers in (2, 4, 6, 12):
         for seed in range(3):
             g = planted_ess(problem, centers=centers, background=3, seed=seed)
-            scored = _SCORES[problem][0](g)
-            assert [s for s, _ in scored] == [s for s, _ in component_scores(problem, g)]
-            for _, cert in scored:
-                verify_flower_certificate(problem, g, cert)
+            scores, certify = _SCORES[problem][0](g)
+            assert scores == [s for s, _ in component_scores(problem, g)]
+            for v in range(g.n):
+                verify_flower_certificate(problem, g, certify(v))
+
+
+def _count_certificates(monkeypatch) -> list[int]:
+    """The vertices of every FlowerCertificate and DoctCertificate that
+    essentia.detect builds from now on, in build order."""
+    detect_mod = importlib.import_module("essentia.detect")
+    built = []
+
+    def counting(cls):
+        def build(vertex, *rest):
+            built.append(vertex)
+            return cls(vertex, *rest)
+        return build
+
+    for name in ("FlowerCertificate", "DoctCertificate"):
+        monkeypatch.setattr(detect_mod, name, counting(getattr(detect_mod, name)))
+    return built
+
+
+def _certified_instances():
+    """(problem, g, k) with detector(k) selecting at least one vertex."""
+    for problem in ("fvs", "oct", "dfvs"):
+        for centers in (2, 4):
+            yield problem, planted_ess(problem, centers=centers, background=3, seed=centers), 3
+    for seed in range(3):
+        # A doct flower of 8 petals scores 8 > 2k for k <= 3.
+        yield "doct", disjoint_union(gnp(10, 0.2, seed, directed=True),
+                                     planted_flower("doct", 8)), 2
+
+
+@pytest.mark.parametrize("problem,g,k", list(_certified_instances()))
+def test_meta_solve_builds_no_certificate(problem, g, k, monkeypatch):
+    built = _count_certificates(monkeypatch)
+    res = meta_solve(problem, g)
+    assert any(t.selected for t in res.schedule)
+    assert built == []
+
+
+@pytest.mark.parametrize("problem,g,k", list(_certified_instances()))
+def test_certificates_are_built_when_read_and_kept(problem, g, k, monkeypatch):
+    built = _count_certificates(monkeypatch)
+    detector = detector_factory(problem, g)
+    res = detector(k)
+    chosen = sorted(res.vertices)
+    assert chosen and built == []
+    assert list(res.certificates) == chosen and len(res.certificates) == len(chosen)
+    assert all(v in res.certificates for v in chosen) and built == []
+    first = res.certificates[chosen[0]]
+    assert built == [chosen[0]]
+    assert res.certificates[chosen[0]] is first and built == [chosen[0]]
+    with pytest.raises(KeyError):
+        res.certificates[next(v for v in range(g.n) if v not in res.vertices)]
+    assert built == [chosen[0]]
+    certs = dict(res.certificates)
+    assert built == chosen and certs[chosen[0]] is first
+    # The detector's other budgets share what has been built.
+    for j in range(g.n + 1):
+        for v, cert in detector(j).certificates.items():
+            assert certs.setdefault(v, cert) is cert
+    assert sorted(built) == sorted(certs)

@@ -10,7 +10,13 @@ import networkx as nx
 import pytest
 
 from conftest import random_digraph, random_graph
-from essentia.detect import _doct_scores, _shorten, flower_number_dfvs, label_extended
+from essentia.detect import (
+    _doct_certificate,
+    _doct_scores,
+    _shorten,
+    flower_number_dfvs,
+    label_extended,
+)
 from essentia.flows import SeparatorResult, SeparatorUndefined, _verify, min_vertex_separator
 from essentia.generate import gnp
 from essentia.graphs import Digraph
@@ -204,6 +210,7 @@ def test_doct_separators_vs_networkx(n, seed):
         cover.add_edges_from([((u, 0), (w, 1)), ((u, 1), (w, 0))])
     scores = _doct_scores(d, range(d.n))
     for v in random.Random(seed).sample(range(n), 5):
-        size, cert = scores[v]
+        size, res = scores[v]
+        cert = _doct_certificate(d, v, res, range(d.n))
         assert size == len(nx.minimum_node_cut(cover, (v, 0), (v, 1)))
         assert size == len(cert.separator) == len(cert.paths)

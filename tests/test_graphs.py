@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_graph, path_graph, random_digraph, random_graph
-from essentia.generate import gnp, planted_ess, planted_flower
+from essentia.generate import gnp, planted_ess, planted_flower, planted_size
 from essentia.graphs import (
     Digraph,
     Graph,
@@ -169,6 +169,20 @@ def test_planted_generators_reject_negative_petals():
         planted_flower("fvs", -1)
     with pytest.raises(ValueError):
         planted_ess("fvs", petals=-1)
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_planted_size_counts_the_built_vertices(problem):
+    for q in range(6):
+        assert planted_size(problem, q) == planted_flower(problem, q).n, q
+    if problem in ("doct", "cvd"):  # planted_ess refuses these
+        return
+    for centers in (1, 2, 4):
+        for background in (0, 1, 3):
+            for petals in (None, 0, 1, 5):
+                g = planted_ess(problem, centers, petals, background)
+                assert planted_size(problem, petals, centers, background) == g.n, (
+                    centers, background, petals)
 
 
 def _views(g):

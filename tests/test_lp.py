@@ -229,11 +229,11 @@ def test_warm_pins_match_cold_solves():
     for seed in range(30):
         rng = random.Random(70_000 + seed)
         g = random_graph(rng, rng.randint(5, 9), rng.choice([0.3, 0.45]))
-        costs = [cost for cost, _ in _cvd_scores(g)]
+        costs, _ = _cvd_scores(g)
         assert costs == [avoiding_lp_cost_reference(g, v) for v in range(g.n)]
     for n in range(18, 23):
         g = gnp(n, 0.3, 0)
-        costs = [cost for cost, _ in _cvd_scores(g)]
+        costs, _ = _cvd_scores(g)
         assert costs == [solve_v_avoiding_lp(g, v).cost for v in range(n)]
 
 
@@ -276,14 +276,15 @@ def test_lp_certified_beyond_oracle_scale():
     # for two pinned vertices above; then a 13-petal hole flower (n = 40),
     # whose center costs one unit per petal and every other vertex one.
     g = gnp(20, 0.3, 20)
-    for _, state in _cvd_scores(g):
-        assert_lp_certified(g, state)
+    _, state_of = _cvd_scores(g)
+    for v in range(g.n):
+        assert_lp_certified(g, state_of(v))
     for n in range(21, 25):
         g = gnp(n, 0.3, n)
         for v in (0, n - 1):
             assert_lp_certified(g, solve_v_avoiding_lp(g, v))
     g = planted_flower("cvd", 13)
-    scores = _cvd_scores(g)
-    for _, state in scores:
-        assert_lp_certified(g, state)
-    assert [cost for cost, _ in scores] == [13] + [1] * 39
+    costs, state_of = _cvd_scores(g)
+    for v in range(g.n):
+        assert_lp_certified(g, state_of(v))
+    assert costs == [13] + [1] * 39
